@@ -29,6 +29,13 @@ from .geom import MobiusMap, invert_circle_in_circle, reflect_circle_in_line
 
 TWO_PI = 2.0 * math.pi
 
+# expansion cutoff as a fraction of the storage cutoff (see enumerate_circles):
+# a heuristic checked by cutoff-inclusion tests, not a proven pruning bound
+EXPAND_MARGIN = 0.3
+
+# separation_stats examines the pairs with normalized gap below this
+SEPARATION_EPS_CAP = 2.0
+
 
 @dataclass(frozen=True)
 class GroupConfig:
@@ -139,20 +146,19 @@ def enumerate_circles(
     cfg: GroupConfig,
     min_radius: float,
     cap: int = 10**7,
-    expand_margin: float = 0.3,
 ) -> CircleOrbit:
     """Breadth-first orbit of the unit circle under the four inversions.
 
     Circles are deduplicated geometrically on (center, radius) rounded at
     1e-9; circles smaller than the cutoff are not stored, but anything
-    above ``expand_margin`` times the cutoff is still expanded so that a
+    above ``EXPAND_MARGIN`` times the cutoff is still expanded so that a
     large image of a small circle is not missed.  Completeness at desk
     scale is checked in the tests by cutoff-inclusion runs.
     """
     if min_radius <= 0.0:
         raise ValueError("min_radius must be positive")
     maps = _circle_maps(cfg)
-    expand_radius = expand_margin * min_radius
+    expand_radius = EXPAND_MARGIN * min_radius
     tol = 1e-9
 
     # neighbor-aware geometric hash: a circle reached along two group words
@@ -212,12 +218,13 @@ def enumerate_circles(
     )
 
 
-def separation_stats(o: CircleOrbit, eps_cap: float = 2.0):
+def separation_stats(o: CircleOrbit):
     """Smallest gap/min(radius) over stored circle pairs, via a KD-tree.
 
-    A pair with normalized gap below ``eps_cap`` has center distance at most
-    (2 + eps_cap) times the larger radius, so querying each circle's ball of
-    that size against all not-larger circles sees every candidate pair.
+    A pair with normalized gap below ``SEPARATION_EPS_CAP`` has center
+    distance at most (2 + SEPARATION_EPS_CAP) times the larger radius, so
+    querying each circle's ball of that size against all not-larger circles
+    sees every candidate pair.
     """
     n = len(o)
     if n < 2:
@@ -229,7 +236,7 @@ def separation_stats(o: CircleOrbit, eps_cap: float = 2.0):
     radii = o.radii
     for i in range(n):
         r_i = radii[i]
-        idx = tree.query_ball_point(pts[i], (2.0 + eps_cap) * r_i)
+        idx = tree.query_ball_point(pts[i], (2.0 + SEPARATION_EPS_CAP) * r_i)
         idx = [j for j in idx if j != i and (radii[j] < r_i or (radii[j] == r_i and j > i))]
         if not idx:
             continue
@@ -262,57 +269,7 @@ def fit_carpet_dimension(o: CircleOrbit, expect_in=(1.0, 2.0)) -> PowerLawFit:
 
 
 # ---------------------------------------------------------------------------
-# ring networks and the harmonicity residual
-
-
-@dataclass
-class WeightedNetwork:
-    """Disjoint rings, one per circle: nodes, edges with stiffness and mass.
-
-    Used for quadrature-style evaluations only; the rings are mutually
-    disconnected, so this is not an eigenproblem discretization.
-    """
-
-    points: np.ndarray  # (n, 2)
-    edges: list[tuple[int, int, float, float]]  # (i, j, stiffness, mass)
-    ring_of_node: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return sum(m for _, _, _, m in self.edges)
-
-    def mass_vector(self) -> np.ndarray:
-        out = np.zeros(len(self.points))
-        for i, j, _, m in self.edges:
-            out[i] += 0.5 * m
-            out[j] += 0.5 * m
-        return out
-
-    def energy(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(sum(c * (u[i] - u[j]) ** 2 for i, j, c, _ in self.edges))
-
-
-def assemble_carpet_rings(o: CircleOrbit, refine: int) -> WeightedNetwork:
-    if refine < 8:
-        raise ValueError("refine must be at least 8")
-    n_circ = len(o)
-    th = TWO_PI * np.arange(refine) / refine
-    cosv, sinv = np.cos(th), np.sin(th)
-    pts = np.empty((n_circ * refine, 2))
-    ring = np.repeat(np.arange(n_circ), refine)
-    edges = []
-    for k in range(n_circ):
-        c, r = o.centers[k], o.radii[k]
-        base = k * refine
-        pts[base : base + refine, 0] = c.real + r * cosv
-        pts[base : base + refine, 1] = c.imag + r * sinv
-        seg = TWO_PI * r / refine
-        stiff = r / seg
-        mass = r * seg
-        for s in range(refine):
-            edges.append((base + s, base + (s + 1) % refine, stiff, mass))
-    return WeightedNetwork(points=pts, edges=edges, ring_of_node=ring)
+# the harmonicity residual
 
 
 class RadialBump:

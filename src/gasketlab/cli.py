@@ -278,7 +278,8 @@ def _cmd_carpet(args) -> int:
 def _cmd_checks(args) -> int:
     import numpy as np
 
-    from . import forms, gasket, geom, spectra
+    from . import checks, forms, gasket, geom, spectra
+    from .errors import InterlacingViolation
 
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -290,54 +291,30 @@ def _cmd_checks(args) -> int:
             failures += 1
 
     if args.suite == "identities":
-        worst_in = worst_cir = worst_orth = 0.0
-        for _ in range(200):
-            a, b, c = rng.uniform(0.1, 10.0, 3)
-            t = geom.triple_from_curvatures(a, b, c)
-            kappa = t.kappa
-            din = geom.inscribed_disk(t)
-            dcir = geom.circumscribed_disk(t)
-            worst_in = max(worst_in, abs(din.curvature - (a + b + c + 2 * kappa)) / din.curvature)
-            worst_cir = max(worst_cir, abs(dcir.curvature - kappa) / kappa)
-            for d in t.disks:
-                lhs = (dcir.center[0] - d.center[0]) ** 2 + (dcir.center[1] - d.center[1]) ** 2
-                rhs = dcir.radius**2 + d.radius**2
-                worst_orth = max(worst_orth, abs(lhs - rhs) / rhs)
+        worst_in, worst_cir, worst_orth = checks.descartes_residuals(rng, 200)
         report("inscribed curvature identity", worst_in < 1e-9, f"max rel {worst_in:.2e}")
         report("circumscribed curvature identity", worst_cir < 1e-9, f"max rel {worst_cir:.2e}")
         report("circumscribed orthogonality", worst_orth < 1e-9, f"max rel {worst_orth:.2e}")
         t = geom.triple_from_curvatures(1.0, 1.0, 1.0)
-        from .gasket import build_complex
-
-        cx = build_complex(t, 6)
-        target = 2.0 * geom.triangle_area(t)
+        cx = gasket.build_complex(t, 6)
         for m in range(7):
             tf = forms.assemble_trace_form(t, m, cx)
-            pts = np.asarray(tf.points)
-            e = tf.energy(pts[:, 0]) + tf.energy(pts[:, 1])
-            report(f"energy identity m={m}", abs(e - target) / target < 1e-10)
+            report(f"energy identity m={m}", checks.energy_identity_deviation(t, tf) < 1e-10)
             if m >= 1:
-                scale = tf.vertex_conductance_scale()[3:]
-                res = max(
-                    float(np.max(np.abs(tf.laplacian_residual(pts[:, k]))[3:] / scale))
-                    for k in (0, 1)
-                )
+                res = checks.coordinate_harmonicity_residual(tf)
                 report(f"coordinate harmonicity m={m}", res < 1e-10)
-        for n in range(1, 11):
-            ok = gasket.matrix_of("1" * n) == (
-                (1, 0, 0, 0), (n * n, 1, 0, n), (n * n, 0, 1, n), (2 * n, 0, 0, 1)
-            )
-            if not ok:
-                report(f"matrix power law n={n}", False)
-                break
-        else:
-            report("matrix power law n<=10", True)
+        bad = checks.matrix_power_law_failures(10)
+        report("matrix power law n<=10", not bad, f"fails for (letter, n) {bad[0]}" if bad else "")
     elif args.suite == "interlacing":
         t = geom.triple_from_curvatures(1.0, 1.0, 1.0)
         evp = spectra.evp_from_trace(t, 4, dirichlet="none")
         for name, V in [("V0", (0, 1, 2)), ("random", tuple(rng.choice(120, 7, replace=False)))]:
-            rep = spectra.interlacing_check(evp, V)
-            report(f"interlacing {name}", rep.ok, f"n={rep.n_checked}")
+            try:
+                rep = spectra.interlacing_check(evp, V)
+            except InterlacingViolation as exc:
+                report(f"interlacing {name}", False, str(exc))
+            else:
+                report(f"interlacing {name}", rep.ok, f"n={rep.n_checked}")
     elif args.suite == "scaling":
         t = geom.triple_from_curvatures(1.0, 1.0, 1.0)
         for scheme in ("trace", "arcfem"):
@@ -359,28 +336,7 @@ def _cmd_checks(args) -> int:
             t_small = spectra.census_vertices(t, n)
             report(f"census vertex count n={n}", len(t_small) == 9 * n - 3)
     elif args.suite == "extension":
-        bad = 0
-        for _ in range(100):
-            r = float(rng.uniform(0.2, 3.0))
-            th0 = float(rng.uniform(-np.pi, np.pi))
-            span = float(rng.uniform(0.3, 2 * np.pi))
-            coef = rng.standard_normal(6)
-            th = np.linspace(th0, th0 + span, 64)
-            u = (
-                coef[0]
-                + coef[1] * np.cos(th)
-                + coef[2] * np.sin(th)
-                + coef[3] * np.cos(2 * th)
-                + coef[4] * np.sin(2 * th)
-                + coef[5] * np.cos(3 * th)
-            )
-            f = forms.ArcSegmentFunction(
-                (0.0, 0.0), r, th0, th0 + span, tuple(float(x) for x in u)
-            )
-            a = float(rng.uniform(u.min(), u.max()))
-            repc = forms.sector_extension_check(f, a)
-            if not repc.all_ok:
-                bad += 1
+        bad, _ = checks.sector_extension_sweep(rng, 100)
         report("sector extension sweep", bad == 0, f"{bad} violations of 100")
     return 2 if failures else 0
 

@@ -7,6 +7,9 @@ Two discretizations are built from the same cell complex:
 * a one-dimensional finite element network living on the circular arcs
   (outer boundary arcs plus inscribed circles), with per-segment stiffness
   rad/len and lumped mass rad*len.
+
+Both are ``Network`` instances: points, an edge index array, per-edge
+conductances and (for the arc network) per-edge masses.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import HalfPlanePresent, QuadratureUnstable
 from .gasket import GasketComplex, build_complex
-from .geom import DiskTriple, Point, circumscribed_disk
+from .geom import DiskTriple, Point, _circumcircle, circumscribed_disk
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,64 +32,76 @@ def cell_conductances(t: DiskTriple) -> tuple[float, float, float]:
     """Edge conductances of a single cell; edge j joins q_{j+1} and q_{j+2}."""
     if not t.is_bounded:
         raise HalfPlanePresent("trace conductances need three bounded disks")
-    a, b, c, kappa = t.quad
-    k2 = kappa * kappa
-    return tuple((k2 + x * x) / (2.0 * kappa * x) for x in (a, b, c))
+    return tuple(_conductances(np.array(t.quad)).tolist())
 
 
-def _merge_edges(edge_map: dict, i: int, j: int, c: float):
-    key = (i, j) if i < j else (j, i)
-    edge_map[key] = edge_map.get(key, 0.0) + c
+def _conductances(quad: np.ndarray) -> np.ndarray:
+    """(kappa^2 + a_j^2) / (2 kappa a_j) for curvature quadruples (..., 4)."""
+    kappa, alpha = quad[..., 3:], quad[..., :3]
+    return (kappa * kappa + alpha * alpha) / (2.0 * kappa * alpha)
 
 
 @dataclass
-class TraceForm:
-    """Graph energy sum over depth-m cells of the per-cell conductance form."""
+class Network:
+    """Weighted graph with energy E(u) = sum_e c_e (u_i - u_j)^2.
+
+    ``edges`` is an (E, 2) int array of endpoint ids.  ``edge_mass`` is the
+    per-edge measure, lumped half to each endpoint; the mass methods need it,
+    and it is None for the trace form.  Vertex sums accumulate edge by edge
+    over the endpoint sequence i_0, j_0, i_1, j_1, ...
+    """
 
     points: list[Point]
-    edges: list[tuple[int, int, float]]
-    depth: int
+    edges: np.ndarray
+    conductance: np.ndarray
+    edge_mass: np.ndarray | None
 
     @property
     def n_vertices(self) -> int:
         return len(self.points)
 
+    @property
+    def total_mass(self) -> float:
+        return float(self.edge_mass.sum())
+
     def stiffness(self) -> sp.csr_matrix:
-        return graph_laplacian(self.n_vertices, self.edges)
+        rows = self.edges[:, [0, 1, 0, 1]].ravel()
+        cols = self.edges[:, [1, 0, 0, 1]].ravel()
+        vals = np.outer(self.conductance, [-1.0, -1.0, 1.0, 1.0]).ravel()
+        n = self.n_vertices
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     def energy(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        total = 0.0
-        for i, j, c in self.edges:
-            d = u[i] - u[j]
-            total += c * d * d
-        return total
+        d = np.asarray(u, dtype=float)[self.edges]
+        d = d[:, 0] - d[:, 1]
+        return float(np.dot(self.conductance, d * d))
 
     def laplacian_residual(self, u) -> np.ndarray:
         """(L u)(x) = sum_y c_xy (u(x) - u(y)) at every vertex."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros(self.n_vertices)
-        for i, j, c in self.edges:
-            d = u[i] - u[j]
-            out[i] += c * d
-            out[j] -= c * d
-        return out
+        d = np.asarray(u, dtype=float)[self.edges]
+        flux = self.conductance * (d[:, 0] - d[:, 1])
+        return self._endpoint_sum(np.column_stack((flux, -flux)))
 
     def vertex_conductance_scale(self) -> np.ndarray:
-        out = np.zeros(self.n_vertices)
-        for i, j, c in self.edges:
-            out[i] += c
-            out[j] += c
-        return out
+        return self._endpoint_sum(np.repeat(self.conductance, 2))
+
+    def mass_vector(self) -> MassVector:
+        return MassVector(
+            values=self._endpoint_sum(np.repeat(0.5 * self.edge_mass, 2)), scheme="arc-lumped"
+        )
+
+    def _endpoint_sum(self, weights) -> np.ndarray:
+        """Per-vertex sum of ``weights`` given per edge endpoint, (E, 2) or flat."""
+        return np.bincount(
+            self.edges.ravel(), weights=np.ravel(weights), minlength=self.n_vertices
+        )
 
 
-def graph_laplacian(n: int, edges) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for i, j, c in edges:
-        rows += [i, j, i, j]
-        cols += [j, i, i, j]
-        vals += [-c, -c, c, c]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+@dataclass
+class TraceForm(Network):
+    """Graph energy sum over depth-m cells of the per-cell conductance form."""
+
+    depth: int
 
 
 def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> TraceForm:
@@ -94,17 +109,21 @@ def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) 
         raise HalfPlanePresent("trace form needs three bounded disks")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
-    edge_map: dict[tuple[int, int], float] = {}
-    for cell in cx.cells(m):
-        a, b, c, kappa = cell.quad
-        k2 = kappa * kappa
-        v = cell.vertex_ids
-        for j, alpha in enumerate((a, b, c)):
-            cond = (k2 + alpha * alpha) / (2.0 * kappa * alpha)
-            _merge_edges(edge_map, v[(j + 1) % 3], v[(j + 2) % 3], cond)
-    n_m = cx.num_vertices_at(m)
-    edges = [(i, j, c) for (i, j), c in sorted(edge_map.items())]
-    return TraceForm(points=cx.points[:n_m], edges=edges, depth=m)
+    cells = cx.cells(m)
+    cond = _conductances(np.array([cell.quad for cell in cells])).ravel()
+    vids = np.array([cell.vertex_ids for cell in cells])
+    # edge j of a cell joins q_{j+1} and q_{j+2}; each depth-m edge lies on
+    # exactly one depth-m cell, so no two cells contribute the same edge
+    ends = np.sort(np.stack((vids[:, [1, 2, 0]], vids[:, [2, 0, 1]]), axis=-1), axis=-1)
+    ends = ends.reshape(-1, 2)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    return TraceForm(
+        points=cx.points[: cx.num_vertices_at(m)],
+        edges=ends[order],
+        conductance=cond[order],
+        edge_mass=None,
+        depth=m,
+    )
 
 
 @dataclass
@@ -136,65 +155,31 @@ def assemble_mass_trace(
         raise HalfPlanePresent("trace mass needs three bounded disks")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
-    n_m = cx.num_vertices_at(m)
     if scheme == "mu":
         return MassVector(values=_mu_vertex_masses(t, m, cx), scheme="mu")
-    if scheme == "mufull":
-        # mu pieces plus, per cell, the measure of the arcs deeper than the
-        # truncation (equal thirds); restores the exact total 2*vol2
-        masses = _mu_vertex_masses(t, m, cx)
-        for cell in cx.cells(m):
-            lens = _cell_arc_lengths(cx, cell)
-            boundary_mu = sum(
-                cx.circles[cell.circle_ids[j]].disk.radius * lens[j] for j in range(3)
-            )
-            resid = max(2.0 * cell.area - boundary_mu, 0.0)
-            for vid in cell.vertex_ids:
-                masses[vid] += resid / 3.0
-        return MassVector(values=masses, scheme="mufull")
-    masses = np.zeros(n_m)
-    for cell in cx.cells(m):
-        cell_mass = 2.0 * cell.area
-        v = cell.vertex_ids
-        if scheme == "thirds":
-            w = (cell_mass / 3.0, cell_mass / 3.0, cell_mass / 3.0)
-        elif scheme == "arclen":
-            lens = _cell_arc_lengths(cx, cell)
-            tot = lens[0] + lens[1] + lens[2]
-            w = tuple(
-                cell_mass * (lens[(j + 1) % 3] + lens[(j + 2) % 3]) / (2.0 * tot)
-                for j in range(3)
-            )
-        else:
-            raise ValueError(f"unknown mass scheme {scheme!r}")
-        for j in range(3):
-            masses[v[j]] += w[j]
+    cells = cx.cells(m)
+    cell_mass = 2.0 * np.array([[cell.area] for cell in cells])
+    if scheme == "thirds":
+        w = np.repeat(cell_mass / 3.0, 3, axis=1)
+    elif scheme == "arclen":
+        lens = np.array([_cell_arc_lengths(cx, cell) for cell in cells])
+        tot = lens[:, :1] + lens[:, 1:2] + lens[:, 2:]
+        w = cell_mass * (lens[:, [1, 2, 0]] + lens[:, [2, 0, 1]]) / (2.0 * tot)
+    else:
+        raise ValueError(f"unknown mass scheme {scheme!r}")
+    vids = np.array([cell.vertex_ids for cell in cells])
+    masses = np.bincount(vids.ravel(), weights=w.ravel(), minlength=cx.num_vertices_at(m))
     return MassVector(values=masses, scheme=scheme)
 
 
 def _mu_vertex_masses(t: DiskTriple, m: int, cx: GasketComplex) -> np.ndarray:
-    n_m = cx.num_vertices_at(m)
-    if m >= 1:
-        return assemble_arc_fem(t, m, 1, cx).mass_vector().values[:n_m]
-    # V_0 carries only the three outer arcs
-    cir = circumscribed_disk(t)
-    masses = np.zeros(3)
-    for j in range(3):
-        d = t.disks[j]
-        pa, pb = t.q[(j + 1) % 3], t.q[(j + 2) % 3]
-        ta = math.atan2(pa[1] - d.center[1], pa[0] - d.center[0])
-        tb = math.atan2(pb[1] - d.center[1], pb[0] - d.center[0])
-        sweep = _pick_arc(d.center, d.radius, ta, tb, cir.center, cir.radius)[1]
-        half = 0.5 * d.radius * (d.radius * sweep)
-        masses[(j + 1) % 3] += half
-        masses[(j + 2) % 3] += half
-    return masses
+    return assemble_arc_fem(t, m, 1, cx).mass_vector().values[: cx.num_vertices_at(m)]
 
 
 def _cell_arc_lengths(cx: GasketComplex, cell) -> tuple[float, float, float]:
     """Length of the cell boundary arc on each member circle."""
     qp = [cx.points[i] for i in cell.vertex_ids]
-    cir_center, cir_r = _cell_circumcircle(qp)
+    cir_center, cir_r = _circumcircle(*qp)
     out = []
     for j in range(3):
         d = cx.circles[cell.circle_ids[j]].disk
@@ -204,12 +189,6 @@ def _cell_arc_lengths(cx: GasketComplex, cell) -> tuple[float, float, float]:
         sweep = _pick_arc(cxy, d.radius, a, b, cir_center, cir_r)[1]
         out.append(d.radius * sweep)
     return tuple(out)
-
-
-def _cell_circumcircle(qp):
-    from .geom import _circumcircle
-
-    return _circumcircle(*qp)
 
 
 def _pick_arc(center, radius, theta_a, theta_b, sel_center, sel_radius):
@@ -230,59 +209,30 @@ def _pick_arc(center, radius, theta_a, theta_b, sel_center, sel_radius):
 
 
 @dataclass
-class ArcNetwork:
+class ArcNetwork(Network):
     """P1 network on the truncated arc family (outer arcs + inscribed circles).
 
-    Edge stiffness is rad/len and edge mass rad*len with len the arc length,
-    half of the mass lumped to each endpoint.  ``arc_ids[k]`` is the circle
-    id (into the complex's circle table) that edge k lies on.
+    Edge conductance is rad/len and edge mass rad*len with len the arc
+    length.  ``arc_ids[k]`` is the circle id (into the complex's circle
+    table) that edge k lies on.
     """
 
-    points: list[Point]
-    edges: list[tuple[int, int, float, float]]  # (i, j, radius, arc length)
     depth: int
     refine: int
     n_vm: int  # leading ids are the V_m tangency points
     arc_ids: list[int]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.points)
-
-    @property
-    def total_mass(self) -> float:
-        return sum(r * l for _, _, r, l in self.edges)
-
-    def conductance_edges(self):
-        return [(i, j, r / l) for i, j, r, l in self.edges]
-
-    def stiffness(self) -> sp.csr_matrix:
-        return graph_laplacian(self.n_vertices, self.conductance_edges())
-
-    def mass_vector(self) -> MassVector:
-        masses = np.zeros(self.n_vertices)
-        for i, j, r, l in self.edges:
-            half = 0.5 * r * l
-            masses[i] += half
-            masses[j] += half
-        return MassVector(values=masses, scheme="arc-lumped")
-
-    def energy(self, u) -> float:
-        u = np.asarray(u, dtype=float)
-        return float(
-            sum((r / l) * (u[i] - u[j]) ** 2 for i, j, r, l in self.edges)
-        )
 
 
 def assemble_arc_fem(
     t: DiskTriple, m: int, refine: int, cx: GasketComplex | None = None
 ) -> ArcNetwork:
     """Arc network truncated at depth m: every arc is split at the V_m points
-    on it, then each piece is subdivided into ``refine`` equal-angle segments."""
+    on it, then each piece is subdivided into ``refine`` equal-angle segments.
+    At depth 0 it is the three outer arcs alone."""
     if not t.is_bounded:
         raise HalfPlanePresent("arc network needs three bounded disks")
-    if m < 1 or refine < 1:
-        raise ValueError("need depth >= 1 and refine >= 1")
+    if m < 0 or refine < 1:
+        raise ValueError("need depth >= 0 and refine >= 1")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     n_vm = cx.num_vertices_at(m)
@@ -294,7 +244,9 @@ def assemble_arc_fem(
 
     cir = circumscribed_disk(t)
     points = list(cx.points[:n_vm])
-    edges: list[tuple[int, int, float, float]] = []
+    ends: list[tuple[int, int]] = []
+    radius: list[float] = []
+    length: list[float] = []
     arc_ids: list[int] = []
 
     def _angle(cid, vid):
@@ -315,7 +267,9 @@ def assemble_arc_fem(
                     (d.center[0] + d.radius * math.cos(th), d.center[1] + d.radius * math.sin(th))
                 )
                 cur = len(points) - 1
-            edges.append((prev, cur, d.radius, d.radius * dt))
+            ends.append((prev, cur))
+            radius.append(d.radius)
+            length.append(d.radius * dt)
             arc_ids.append(cid)
             prev = cur
 
@@ -353,8 +307,16 @@ def assemble_arc_fem(
                 sweep = TWO_PI
             _emit(cid, a_v, b_v, th_a, sweep)
 
+    r, l = np.array(radius), np.array(length)
     return ArcNetwork(
-        points=points, edges=edges, depth=m, refine=refine, n_vm=n_vm, arc_ids=arc_ids
+        points=points,
+        edges=np.array(ends, dtype=int).reshape(-1, 2),
+        conductance=r / l,
+        edge_mass=r * l,
+        depth=m,
+        refine=refine,
+        n_vm=n_vm,
+        arc_ids=arc_ids,
     )
 
 
@@ -375,7 +337,7 @@ def mass_to_text(values) -> str:
     return "\n".join(f"{float(v):.17g}" for v in values) + "\n"
 
 
-def constrained_minimum_energy(form: TraceForm, boundary_ids, u_boundary) -> float:
+def constrained_minimum_energy(form: Network, boundary_ids, u_boundary) -> float:
     """min { E(v) : v equals the given data on the boundary ids }."""
     n = form.n_vertices
     boundary_ids = np.asarray(boundary_ids, dtype=int)

@@ -142,17 +142,15 @@ class GasketComplex:
         self.depth = depth
         self.points: list[Point] = []
         self.vertex_pairs: list[tuple[int, int]] = []
-        self.vertex_birth: list[int] = []
         self.circles: list[CircleRecord] = []
         self.cells_by_depth: list[list[Cell]] = [[] for _ in range(depth + 1)]
         self._build()
 
     # -- construction ------------------------------------------------------
 
-    def _add_vertex(self, p: Point, pair: tuple[int, int], birth: int) -> int:
+    def _add_vertex(self, p: Point, pair: tuple[int, int]) -> int:
         self.points.append(p)
         self.vertex_pairs.append(pair)
-        self.vertex_birth.append(birth)
         return len(self.points) - 1
 
     def _build(self):
@@ -162,7 +160,7 @@ class GasketComplex:
         for j, d in enumerate(root.disks):
             self.circles.append(CircleRecord("outer", d, ""))
         q_ids = tuple(
-            self._add_vertex(root.q[j], ((j + 1) % 3, (j + 2) % 3), 0) for j in range(3)
+            self._add_vertex(root.q[j], ((j + 1) % 3, (j + 2) % 3)) for j in range(3)
         )
         frontier = [("", root.disks, (0, 1, 2), q_ids, root.quad, _child_area(root.disks))]
         for level in range(self.depth + 1):
@@ -179,9 +177,7 @@ class GasketComplex:
                     Cell(word, qids, quad, cids, area, cid_in)
                 )
                 p_ids = tuple(
-                    self._add_vertex(
-                        tangency_point(d_in, disks[j]), (cids[j], cid_in), level + 1
-                    )
+                    self._add_vertex(tangency_point(d_in, disks[j]), (cids[j], cid_in))
                     for j in range(3)
                 )
                 child_members = (
@@ -213,19 +209,8 @@ class GasketComplex:
             return len(self.points)
         return 3 + 3 * (3**m - 1) // 2
 
-    def vertices_at(self, m: int) -> list[Point]:
-        return self.points[: self.num_vertices_at(m)]
-
     def cells(self, m: int) -> list[Cell]:
         return self.cells_by_depth[m]
-
-    def inscribed_disks(self, max_level: int | None = None):
-        """Inscribed circle records with creating word shorter than max_level."""
-        out = []
-        for rec in self.circles[3:]:
-            if max_level is None or len(rec.word) < max_level:
-                out.append(rec)
-        return out
 
 
 def _child_area(disks) -> float:
@@ -242,11 +227,6 @@ def _quick_triple(disks, q, quad) -> DiskTriple:
 
 def build_complex(t: DiskTriple, depth: int) -> GasketComplex:
     return GasketComplex(t, depth)
-
-
-def vertices(t: DiskTriple, m: int) -> GasketComplex:
-    """Deduplicated tangency point set V_m with full cell incidence."""
-    return GasketComplex(t, m)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,6 @@ def solve(
     evp: GeneralizedEVP,
     how_many: int | None = None,
     dense_threshold: int = DENSE_THRESHOLD,
-    inertia_dense_limit: int = INERTIA_DENSE_LIMIT,
     allow_disconnected: bool = False,
     seed: int = 0,
 ) -> Spectrum:
@@ -200,8 +199,8 @@ def solve(
     ``dense_threshold`` free vertices, and any full-spectrum request, are
     solved by dense tridiagonalization; larger partial requests go through
     shift-invert Lanczos slices whose completeness is verified by inertia
-    counts (up to ``inertia_dense_limit``, above which the meta flag
-    ``inertia_verified`` reports False).
+    counts (up to ``INERTIA_DENSE_LIMIT`` free vertices, above which the
+    meta flag ``inertia_verified`` reports False).
     """
     free, K, d, A = _free_pencil(evp, allow_disconnected)
     n = len(free)
@@ -218,7 +217,7 @@ def solve(
         meta["method"] = "dense"
         meta["inertia_verified"] = True  # full tridiagonalization, nothing to miss
     else:
-        lams, Y, verified = _sliced_lanczos(A, k, inertia_dense_limit, seed)
+        lams, Y, verified = _sliced_lanczos(A, k, seed)
         meta["method"] = "lanczos-shift-invert"
         meta["inertia_verified"] = verified
 
@@ -240,7 +239,7 @@ def solve(
     return Spectrum(eigenvalues=np.sort(lams), meta=meta)
 
 
-def _sliced_lanczos(A: sp.csr_matrix, k: int, inertia_dense_limit: int, seed: int):
+def _sliced_lanczos(A: sp.csr_matrix, k: int, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
     Slice boundaries are placed from a low-order fit of the counting
@@ -250,7 +249,7 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, inertia_dense_limit: int, seed: in
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
-    verify = n <= inertia_dense_limit
+    verify = n <= INERTIA_DENSE_LIMIT
 
     if not verify and k > 2000:
         raise NotConverged(

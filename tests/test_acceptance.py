@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_triple
-from gasketlab import carpet, forms, gasket, geom, spectra
+from gasketlab import carpet, checks, forms, gasket, geom, spectra
 
 SQRT3 = math.sqrt(3.0)
 
@@ -60,20 +60,7 @@ def _q8_orbits():
 
 def test_criterion_01_descartes_identities():
     t0 = time.time()
-    rng = np.random.default_rng(1)
-    worst_in = worst_cir = worst_orth = 0.0
-    for _ in range(1000):
-        a, b, c = rng.uniform(0.1, 10.0, 3)
-        t = geom.triple_from_curvatures(a, b, c)
-        kappa = t.kappa
-        din = geom.inscribed_disk(t)
-        dcir = geom.circumscribed_disk(t)
-        worst_in = max(worst_in, abs(din.curvature - (a + b + c + 2 * kappa)) / din.curvature)
-        worst_cir = max(worst_cir, abs(dcir.curvature - kappa) / kappa)
-        for d in t.disks:
-            lhs = (dcir.center[0] - d.center[0]) ** 2 + (dcir.center[1] - d.center[1]) ** 2
-            rhs = dcir.radius**2 + d.radius**2
-            worst_orth = max(worst_orth, abs(lhs - rhs) / rhs)
+    worst_in, worst_cir, worst_orth = checks.descartes_residuals(np.random.default_rng(1), 1000)
     ok = worst_in < 1e-9 and worst_cir < 1e-9 and worst_orth < 1e-9
     _report(
         1, "Descartes identities", ok, time.time() - t0, 1.0,
@@ -83,14 +70,7 @@ def test_criterion_01_descartes_identities():
 
 def test_criterion_02_matrix_law():
     t0 = time.time()
-    ok = True
-    for n in range(21):
-        ok &= gasket.matrix_of("1" * n) == (
-            (1, 0, 0, 0), (n * n, 1, 0, n), (n * n, 0, 1, n), (2 * n, 0, 0, 1))
-        ok &= gasket.matrix_of("2" * n) == (
-            (1, n * n, 0, n), (0, 1, 0, 0), (0, n * n, 1, n), (0, 2 * n, 0, 1))
-        ok &= gasket.matrix_of("3" * n) == (
-            (1, 0, n * n, n), (0, 1, n * n, n), (0, 0, 1, 0), (0, 0, 2 * n, 1))
+    ok = not checks.matrix_power_law_failures(20)
     _report(2, "matrix power law", ok, time.time() - t0, 1.0, "exact integer equality, n <= 20")
 
 
@@ -113,12 +93,9 @@ def test_criterion_03_energy_identity(energy_triples):
     t0 = time.time()
     worst = 0.0
     for t, cx in energy_triples.values():
-        target = 2.0 * geom.triangle_area(t)
         for m in range(7):
             tf = forms.assemble_trace_form(t, m, cx)
-            pts = np.asarray(tf.points)
-            e = tf.energy(pts[:, 0]) + tf.energy(pts[:, 1])
-            worst = max(worst, abs(e - target) / target)
+            worst = max(worst, checks.energy_identity_deviation(t, tf))
     _report(3, "energy identity", worst < 1e-10, time.time() - t0, 10.0,
             f"max rel deviation {worst:.2e} over 3 triples, m <= 6")
 
@@ -129,11 +106,7 @@ def test_criterion_04_harmonicity(energy_triples):
     for t, cx in energy_triples.values():
         for m in range(1, 7):
             tf = forms.assemble_trace_form(t, m, cx)
-            pts = np.asarray(tf.points)
-            scale = tf.vertex_conductance_scale()
-            for k in (0, 1):
-                res = np.abs(tf.laplacian_residual(pts[:, k]))[3:]
-                worst = max(worst, float(np.max(res / scale[3:])))
+            worst = max(worst, checks.coordinate_harmonicity_residual(tf))
     _report(4, "coordinate harmonicity", worst < 1e-10, time.time() - t0, 10.0,
             f"max interior residual {worst:.2e} (relative to local conductance)")
 
@@ -217,23 +190,7 @@ def test_criterion_10_scaling_homogeneity(unit):
 
 def test_criterion_11_sector_extension():
     t0 = time.time()
-    rng = np.random.default_rng(11)
-    violations = 0
-    max_change = 0.0
-    for _ in range(100):
-        r = float(rng.uniform(0.2, 3.0))
-        th0 = float(rng.uniform(-math.pi, math.pi))
-        span = float(rng.uniform(0.3, 2 * math.pi))
-        coef = rng.standard_normal(6)
-        th = np.linspace(th0, th0 + span, 64)
-        u = (coef[0] + coef[1] * np.cos(th) + coef[2] * np.sin(th)
-             + coef[3] * np.cos(2 * th) + coef[4] * np.sin(2 * th) + coef[5] * np.cos(3 * th))
-        f = forms.ArcSegmentFunction((0.0, 0.0), r, th0, th0 + span, tuple(map(float, u)))
-        a = float(rng.uniform(u.min(), u.max()))
-        rep = forms.sector_extension_check(f, a)
-        max_change = max(max_change, rep.quad_rel_change)
-        if not rep.all_ok:
-            violations += 1
+    violations, max_change = checks.sector_extension_sweep(np.random.default_rng(11), 100)
     ok = violations == 0 and max_change <= 1e-4
     _report(11, "sector extension inequalities", ok, time.time() - t0, 60.0,
             f"{violations} violations of 100, quadrature change {max_change:.1e}")

@@ -166,33 +166,6 @@ def test_fit_dimension_needs_circles():
         carpet.fit_carpet_dimension(orbit)
 
 
-def test_rings_unit_circle_energy():
-    cfg = carpet.solve_params(8)
-    orbit = carpet.CircleOrbit(cfg, 1.0, np.array([0j]), np.array([1.0]), np.array([0]))
-    net = carpet.assemble_carpet_rings(orbit, 64)
-    e = net.energy(net.points[:, 0])
-    assert abs(e - math.pi) / math.pi < 0.002
-    assert net.total_mass == pytest.approx(2 * math.pi, rel=1e-12)
-
-
-def test_rings_total_mass_formula():
-    cfg = carpet.solve_params(8)
-    o = carpet.enumerate_circles(cfg, 1e-2)
-    net = carpet.assemble_carpet_rings(o, 16)
-    assert net.total_mass == pytest.approx(float(2 * math.pi * np.sum(o.radii**2)), rel=1e-12)
-
-
-def test_rings_second_order_convergence():
-    cfg = carpet.solve_params(8)
-    orbit = carpet.CircleOrbit(cfg, 1.0, np.array([0j]), np.array([1.0]), np.array([0]))
-    errs = []
-    for refine in (16, 32, 64):
-        net = carpet.assemble_carpet_rings(orbit, refine)
-        errs.append(math.pi - net.energy(net.points[:, 0]))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
-
-
 def test_harmonicity_zero_function():
     cfg = carpet.solve_params(8)
     o = carpet.enumerate_circles(cfg, 1e-2)

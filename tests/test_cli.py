@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from gasketlab import gasket, geom
+from gasketlab import gasket, geom, spectra
 from gasketlab.cli import main
+from gasketlab.errors import InterlacingViolation
 
 
 def run_cli(capsys, *argv):
@@ -108,10 +109,24 @@ def test_carpet_separation_json(capsys):
     assert obj["epsilon_observed"] > 0
 
 
-def test_checks_identities_exit_zero(capsys):
-    code, out, _ = run_cli(capsys, "checks", "--suite", "identities")
+@pytest.mark.parametrize(
+    "suite", ["identities", "interlacing", "scaling", "census", "extension"]
+)
+def test_checks_suite_exit_zero(capsys, suite):
+    code, out, _ = run_cli(capsys, "checks", "--suite", suite)
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_checks_interlacing_violation_exit_two(capsys, monkeypatch):
+    def violated(evp, V, rtol=1e-9):
+        raise InterlacingViolation("lower interlacing fails at n=4", 4)
+
+    monkeypatch.setattr(spectra, "interlacing_check", violated)
+    code, out, err = run_cli(capsys, "checks", "--suite", "interlacing")
+    assert code == 2
+    assert "[FAIL] interlacing V0  lower interlacing fails at n=4" in out
+    assert err == ""
 
 
 def test_unknown_flag_exit_one(capsys):

@@ -129,13 +129,18 @@ def test_mass_mu_totals_increase_to_limit(unit_triple):
     assert totals[-1] > 0.98 * target
 
 
+def _arc_radii(net, cx):
+    return np.array([cx.circles[cid].disk.radius for cid in net.arc_ids])
+
+
 def test_arc_fem_m1_counts(unit_triple):
-    net = forms.assemble_arc_fem(unit_triple, 1, 1)
+    cx = gasket.build_complex(unit_triple, 1)
+    net = forms.assemble_arc_fem(unit_triple, 1, 1, cx)
     assert net.n_vertices == 6
     assert len(net.edges) == 9
     # every edge weight pair satisfies stiffness * mass = rad^2
-    for i, j, r, l in net.edges:
-        assert abs((r / l) * (r * l) - r * r) < 1e-14
+    r = _arc_radii(net, cx)
+    assert np.all(np.abs(net.conductance * net.edge_mass - r * r) < 1e-14)
 
 
 def test_arc_fem_mass_increases_with_depth(unit_triple):
@@ -151,14 +156,15 @@ def test_arc_fem_coordinate_energy(unit_triple):
     # assembled energy of the coordinate pair equals sum rad*chord^2/len and
     # converges to the total arc measure at second order in refine
     gaps = []
+    cx = gasket.build_complex(unit_triple, 2)
     for refine in (2, 4, 8):
-        net = forms.assemble_arc_fem(unit_triple, 2, refine)
+        net = forms.assemble_arc_fem(unit_triple, 2, refine, cx)
         pts = np.asarray(net.points)
         e = net.energy(pts[:, 0]) + net.energy(pts[:, 1])
         direct = 0.0
-        for i, j, r, l in net.edges:
+        for (i, j), r, mass in zip(net.edges, _arc_radii(net, cx), net.edge_mass):
             chord2 = (pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2
-            direct += r * chord2 / l
+            direct += r * chord2 / (mass / r)
         assert abs(e - direct) < 1e-12 * e
         gaps.append(net.total_mass - e)
     assert gaps[0] > 0
@@ -178,13 +184,53 @@ def test_arc_fem_edges_lie_on_their_arcs(unit_triple):
     cx = gasket.build_complex(unit_triple, 3)
     net = forms.assemble_arc_fem(unit_triple, 3, 3, cx)
     assert len(net.arc_ids) == len(net.edges)
-    for (i, j, r, _), cid in zip(net.edges, net.arc_ids):
+    for (i, j), c, mass, cid in zip(net.edges, net.conductance, net.edge_mass, net.arc_ids):
         d = cx.circles[cid].disk
-        assert abs(d.radius - r) < 1e-15
+        # conductance rad/len times mass rad*len is the radius squared
+        assert abs(c * mass - d.radius**2) < 1e-14 * d.radius**2
         for vid in (i, j):
             x, y = net.points[vid]
             dist = math.hypot(x - d.center[0], y - d.center[1])
             assert abs(dist - d.radius) < 1e-9 * d.radius
+
+
+def _loop_stiffness(net):
+    K = np.zeros((net.n_vertices, net.n_vertices))
+    for (i, j), c in zip(net.edges, net.conductance):
+        K[i, j] -= c
+        K[j, i] -= c
+        K[i, i] += c
+        K[j, j] += c
+    return K
+
+
+def test_network_arrays_match_edge_loops(unit_triple, rng):
+    # the array methods reproduce entry-by-entry assembly bit for bit: c_ij
+    # off the diagonal, conductance row sums on it, rad*len/2 per endpoint
+    tf = forms.assemble_trace_form(unit_triple, 3)
+    net = forms.assemble_arc_fem(unit_triple, 2, 3)
+    assert len(np.unique(tf.edges, axis=0)) == len(tf.edges) == 3 * 3**3
+    for g in (tf, net):
+        assert np.array_equal(g.stiffness().toarray(), _loop_stiffness(g))
+        u = rng.standard_normal(g.n_vertices)
+        res = np.zeros(g.n_vertices)
+        scale = np.zeros(g.n_vertices)
+        energy = 0.0
+        for (i, j), c in zip(g.edges, g.conductance):
+            d = u[i] - u[j]
+            res[i] += c * d
+            res[j] -= c * d
+            scale[i] += c
+            scale[j] += c
+            energy += c * d * d
+        assert np.array_equal(g.laplacian_residual(u), res)
+        assert np.array_equal(g.vertex_conductance_scale(), scale)
+        assert g.energy(u) == pytest.approx(energy, rel=1e-14)
+    mass = np.zeros(net.n_vertices)
+    for (i, j), w in zip(net.edges, net.edge_mass):
+        mass[i] += 0.5 * w
+        mass[j] += 0.5 * w
+    assert np.array_equal(net.mass_vector().values, mass)
 
 
 def test_mass_totals_converge_between_deep_levels(unit_triple):
