@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     DegenerateTriple,
     HalfPlanePresent,
@@ -497,18 +499,41 @@ def invert(m: MobiusMap, d: GeneralizedDisk) -> InvertedRegion:
 # raw circle transforms (fast paths used by the carpet orbit enumeration)
 
 
-def reflect_circle_in_line(center: complex, radius: float, point: complex, angle: float):
+def _complex(re, im):
+    """Complex scalar or array from its parts; ``re + 1j * im`` would drop signed zeros."""
+    if np.ndim(re) == 0:
+        return complex(re, im)
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# Both transforms accept a complex scalar center or a complex array of centers
+# (with matching radii).  The complex products are written out in the operation
+# order of Python's complex ``*`` (a float factor enters as ``factor + 0j``), so
+# an array call gives the same bits as the scalar calls; numpy's complex multiply
+# does not.
+
+
+def reflect_circle_in_line(center, radius, point: complex, angle: float):
     """Image of a circle under reflection in a line (radius preserved)."""
     u = cmath.exp(2.0j * angle)
-    return point + u * (center - point).conjugate(), radius
+    dx = center.real - point.real  # conj(center - point)
+    dy = -(center.imag - point.imag)
+    return _complex(
+        point.real + (u.real * dx - u.imag * dy), point.imag + (u.real * dy + u.imag * dx)
+    ), radius
 
 
-def invert_circle_in_circle(center: complex, radius: float, inv_center: complex, inv_radius: float):
-    """Image of a circle under inversion; raises for circles through the center."""
+def invert_circle_in_circle(center, radius, inv_center: complex, inv_radius: float):
+    """Image of a circle under inversion; raises if any circle passes through the center."""
     s2 = inv_radius * inv_radius
-    delta = center - inv_center
-    denom = delta.real * delta.real + delta.imag * delta.imag - radius * radius
-    if abs(denom) < 1e-15 * (abs(delta) ** 2 + radius * radius):
+    dx = center.real - inv_center.real
+    dy = center.imag - inv_center.imag
+    denom = dx * dx + dy * dy - radius * radius
+    if np.any(abs(denom) < 1e-15 * (np.hypot(dx, dy) ** 2 + radius * radius)):
         raise UnrepresentableImage("circle passes through the inversion center")
     factor = s2 / denom
-    return inv_center + factor * delta, abs(factor) * radius
+    return _complex(
+        inv_center.real + (factor * dx - 0.0 * dy), inv_center.imag + (factor * dy + 0.0 * dx)
+    ), abs(factor) * radius

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from gasketlab import carpet, geom
-from gasketlab.errors import InsufficientRange, InvalidQ, SupportViolation
+from gasketlab.errors import BudgetExceeded, InsufficientRange, InvalidQ, SupportViolation
 
 
 def test_solve_params_q8_values():
@@ -108,6 +109,122 @@ def test_orbit_deterministic():
     assert np.array_equal(o1.generations, o2.generations)
 
 
+def _global_hash_orbit(cfg, min_radius):
+    """Reference enumeration: scalar BFS over one global geometric hash.
+
+    Circles down to 0.3 * ``min_radius`` are expanded though only
+    those at or above ``min_radius`` are stored, so a large image of a small
+    circle cannot be missed; the maps use plain Python complex arithmetic.
+    """
+    center2 = cfg.t_q * cmath.exp(1j * math.pi / cfg.q)
+
+    def reflect(c, r, angle):
+        return 0j + cmath.exp(2.0j * angle) * (c - 0j).conjugate(), r
+
+    def invert(c, r, c0, s):
+        d = c - c0
+        f = s * s / (d.real * d.real + d.imag * d.imag - r * r)
+        return c0 + f * d, abs(f) * r
+
+    maps = (
+        lambda c, r: reflect(c, r, 0.0),
+        lambda c, r: invert(c, r, center2, cfg.s_q),
+        lambda c, r: reflect(c, r, math.pi / cfg.q),
+        lambda c, r: invert(c, r, 0j, cfg.r_q),
+    )
+    tol, guard = 1e-9, 2e-3
+    seen = {}
+
+    def axis(v):
+        k = round(v / tol)
+        f = v / tol - k
+        if f > 0.5 - guard:
+            return (k, k + 1)
+        if f < guard - 0.5:
+            return (k, k - 1)
+        return (k,)
+
+    def remember(c, r):
+        keys = [(a, b, d) for a in axis(c.real) for b in axis(c.imag) for d in axis(r)]
+        for key in keys:
+            for c0, r0 in seen.get(key, ()):
+                if abs(c - c0) <= tol and abs(r - r0) <= tol:
+                    return False
+        seen.setdefault(keys[0], []).append((c, r))
+        return True
+
+    remember(0j, 1.0)
+    stored, frontier, generation = [], [(0j, 1.0)], 0
+    while frontier:
+        generation += 1
+        nxt = []
+        for c, r in frontier:
+            for mp in maps:
+                c2, r2 = mp(c, r)
+                if not remember(c2, r2):
+                    continue
+                if r2 >= min_radius:
+                    stored.append((c2, r2, generation))
+                if r2 >= 0.3 * min_radius:
+                    nxt.append((c2, r2))
+        frontier = nxt
+    stored.sort(key=lambda t: (-t[1], t[0].real, t[0].imag))
+    return (
+        np.array([c for c, _, _ in stored], dtype=complex),
+        np.array([r for _, r, _ in stored]),
+        np.array([g for _, _, g in stored], dtype=int),
+    )
+
+
+@pytest.mark.parametrize(
+    "q, min_radius", [(7, 1e-2), (8, 1e-2), (9, 1e-2), (12, 1e-2), (8, 3e-3)]
+)
+def test_orbit_matches_global_hash_enumeration(q, min_radius):
+    # bit-identical to the unpruned global-hash BFS: the generation window
+    # dedup and the pruning at min_radius lose and duplicate nothing
+    cfg = carpet.solve_params(q)
+    centers, radii, gens = _global_hash_orbit(cfg, min_radius)
+    o = carpet.enumerate_circles(cfg, min_radius)
+    assert np.array_equal(o.centers, centers)
+    assert np.array_equal(np.signbit(o.centers.real), np.signbit(centers.real))
+    assert np.array_equal(np.signbit(o.centers.imag), np.signbit(centers.imag))
+    assert np.array_equal(o.radii, radii)
+    assert np.array_equal(o.generations, gens)
+
+
+def test_orbit_closed_and_parents_not_smaller():
+    cfg = carpet.solve_params(8)
+    r_min = 1e-2
+    o = carpet.enumerate_circles(cfg, r_min)
+    # the unit circle is generation 0
+    c = np.concatenate([[0j], o.centers])
+    r = np.concatenate([[1.0], o.radii])
+    g = np.concatenate([[0], o.generations])
+    tree = cKDTree(np.column_stack([c.real, c.imag, r]))
+    center2 = cfg.t_q * cmath.exp(1j * math.pi / cfg.q)
+    images = (
+        geom.reflect_circle_in_line(c, r, 0j, 0.0),
+        geom.invert_circle_in_circle(c, r, center2, cfg.s_q),
+        geom.reflect_circle_in_line(c, r, 0j, math.pi / cfg.q),
+        geom.invert_circle_in_circle(c, r, 0j, cfg.r_q),
+    )
+    has_parent = g == 0
+    for ic, ir in images:
+        d, j = tree.query(np.column_stack([ic.real, ic.imag, ir]))
+        found = d <= 1e-9
+        itself = found & (j == np.arange(len(r)))
+        neighbor = found & (np.abs(g[j] - g) == 1)
+        assert np.all((ir < r_min) | itself | neighbor)
+        has_parent |= neighbor & (g[j] == g - 1) & (ir >= r)
+    assert np.all(has_parent)
+    assert not cKDTree(np.column_stack([o.centers.real, o.centers.imag])).query_pairs(1e-9)
+
+
+def test_orbit_budget_exceeded():
+    with pytest.raises(BudgetExceeded):
+        carpet.enumerate_circles(carpet.solve_params(8), 1e-2, cap=10)
+
+
 def test_orbit_inside_unit_disk_and_disjoint():
     cfg = carpet.solve_params(8)
     o = carpet.enumerate_circles(cfg, 3e-3)
@@ -135,6 +252,24 @@ def test_separation_synthetic_pair():
     eps, pairs = carpet.separation_stats(orbit)
     assert eps == pytest.approx(1.0, rel=1e-12)
     assert pairs == 1
+
+
+@pytest.mark.parametrize("min_radius", [3e-2, 1e-2])
+def test_separation_matches_pair_scan(min_radius):
+    o = carpet.enumerate_circles(carpet.solve_params(8), min_radius)
+    x, y, r = o.centers.real, o.centers.imag, o.radii
+    idx = np.arange(len(r))
+    best, pairs = math.inf, 0
+    for i in idx:
+        # each pair once, seen from the larger circle (the lower index on ties)
+        j = idx[(r < r[i]) | ((r == r[i]) & (idx > i))]
+        d = np.hypot(x[j] - x[i], y[j] - y[i])
+        near = d <= (2.0 + carpet.SEPARATION_EPS_CAP) * r[i]
+        j, d = j[near], d[near]
+        pairs += len(j)
+        if len(j):
+            best = min(best, float(((d - r[i] - r[j]) / np.minimum(r[i], r[j])).min()))
+    assert carpet.separation_stats(o) == (best, pairs)
 
 
 def test_separation_nonincreasing_with_cutoff():
@@ -192,6 +327,32 @@ def test_harmonicity_gauss_green_per_circle():
     lhs = carpet.harmonicity_contributions(single, bump, refine=2048)[0]
     rhs = carpet.circle_pairing_gauss_green(o.centers[idx], o.radii[idx], bump, refine=8192)
     assert lhs == pytest.approx(rhs, abs=1e-12 + 1e-9 * abs(rhs))
+
+
+def _per_circle_contributions(o, v, refine, coordinate):
+    th = 2.0 * math.pi * np.arange(refine) / refine
+    cosv, sinv = np.cos(th), np.sin(th)
+    out = np.empty(len(o))
+    for k, (c, r) in enumerate(zip(o.centers, o.radii)):
+        gx, gy = v.gradient(c.real + r * cosv, c.imag + r * sinv)
+        dv = r * (-sinv * gx + cosv * gy)
+        du = -r * sinv if coordinate == 1 else r * cosv
+        out[k] = float(np.sum(du * dv)) * (2.0 * math.pi / refine)
+    return out
+
+
+@pytest.mark.parametrize("refine", [256, 2048])
+def test_harmonicity_contributions_match_per_circle_loop(refine):
+    o = carpet.enumerate_circles(carpet.solve_params(8), 1e-2)
+    wide = carpet.RadialBump((0.23, 0.11), 0.5)
+    narrow = carpet.RadialBump((0.7, 0.0), 0.05)  # support misses most circles
+    for bump in (wide, narrow):
+        for coord in (1, 2):
+            ref = _per_circle_contributions(o, bump, refine, coord)
+            got = carpet.harmonicity_contributions(o, bump, refine=refine, coordinate=coord)
+            assert np.array_equal(got, ref)
+            if bump is narrow:
+                assert 0 < np.count_nonzero(ref) < len(o) // 10
 
 
 def test_harmonicity_residual_decays():

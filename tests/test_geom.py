@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_triple
@@ -10,6 +11,7 @@ from gasketlab.errors import (
     NotPositivelyOriented,
     NotTangent,
     TwoHalfPlanes,
+    UnrepresentableImage,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -256,3 +258,37 @@ def test_disk_json_roundtrip():
     assert geom.disk_from_json(geom.disk_to_json(d)) == d
     hp = geom.halfplane((0.0, 1.0), 0.25)
     assert geom.disk_from_json(geom.disk_to_json(hp)) == hp
+
+
+def test_circle_maps_arrays_match_scalars(rng):
+    # array calls give the bits of scalar calls, signed zeros included
+    centers = np.concatenate([
+        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.3 - 0.0j],
+        rng.uniform(-0.9, 0.9, 200) + 1j * rng.uniform(-0.9, 0.9, 200),
+    ])
+    radii = rng.uniform(1e-4, 0.05, len(centers))
+    maps = [
+        (geom.reflect_circle_in_line, 0j, 0.0),
+        (geom.reflect_circle_in_line, 0.2 + 0.1j, math.pi / 8),
+        (geom.invert_circle_in_circle, 1.3 + 0.6j, 1.2),
+        (geom.invert_circle_in_circle, 0j, 0.57),
+    ]
+    for fn, point, param in maps:
+        ac, ar = fn(centers, radii, point, param)
+        for k in range(len(centers)):
+            c, r = fn(complex(centers[k]), float(radii[k]), point, param)
+            assert type(c) is complex
+            assert (c.real, c.imag, r) == (ac[k].real, ac[k].imag, ar[k])
+            assert math.copysign(1.0, c.real) == math.copysign(1.0, ac[k].real)
+            assert math.copysign(1.0, c.imag) == math.copysign(1.0, ac[k].imag)
+
+
+def test_invert_circle_through_center_unrepresentable():
+    with pytest.raises(UnrepresentableImage):
+        geom.invert_circle_in_circle(0.5 + 0j, 0.5, 0j, 0.7)
+    centers = np.array([0.3 + 0.1j, 0.5j, -0.2 + 0.0j])
+    radii = np.array([0.1, 0.5, 0.05])
+    with pytest.raises(UnrepresentableImage):
+        geom.invert_circle_in_circle(centers, radii, 0j, 0.7)
+    # without the offending circle the same call succeeds
+    geom.invert_circle_in_circle(centers[[0, 2]], radii[[0, 2]], 0j, 0.7)
