@@ -53,6 +53,10 @@ class NotConverged(GasketLabError):
         self.partial = partial
 
 
+class DegenerateShift(GasketLabError):
+    """An inertia count was asked at a shift within roundoff of an eigenvalue."""
+
+
 class Disconnected(GasketLabError):
     """Free vertex set of an eigenproblem splits into several components."""
 

@@ -2,8 +2,8 @@
 
 Small problems go through a dense full tridiagonalization.  Above the dense
 threshold a shift-invert Lanczos path computes spectrum slices whose
-completeness is certified by Sylvester inertia counts of K - sigma M, and
-every reported pair carries a residual certificate.
+completeness is certified at every size by sparse Sylvester inertia counts
+of K - sigma M, and every reported pair carries a residual certificate.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (
     AboveTrustCeiling,
+    DegenerateShift,
     Disconnected,
     InsufficientSpectrum,
     InterlacingViolation,
@@ -31,8 +32,10 @@ from .gasket import apply_word, build_complex, index_set_I
 from .geom import DiskTriple, transform_triple
 
 DENSE_THRESHOLD = 3000
-INERTIA_DENSE_LIMIT = 4000
 RESIDUAL_RTOL = 1e-8
+PIVOT_RTOL = 1e-12  # min/max |pivot| below this: the shift sits on an eigenvalue
+BOUND_CLUSTER_RTOL = 1e-10  # a computed eigenvalue this close moves a slice bound
+BOUND_STEP_RTOL, BOUND_MOVES = 1e-8, 4  # first move of a bound (x10 per further move), cap
 
 
 @dataclass
@@ -147,43 +150,25 @@ def _residual_max(K, d, lams, Y, s):
     return float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)))
 
 
-def ldl_inertia(A_dense: np.ndarray) -> tuple[int, int, int]:
-    """(below, zero, above) eigenvalue counts via a Bunch-Kaufman LDL factorization."""
-    lu, dmat, perm = sla.ldl(A_dense, lower=True)
-    n = dmat.shape[0]
-    neg = zero = pos = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and dmat[i, i + 1] != 0.0:
-            a, b, c = dmat[i, i], dmat[i, i + 1], dmat[i + 1, i + 1]
-            mid = 0.5 * (a + c)
-            disc = math.hypot(0.5 * (a - c), b)
-            for lam in (mid - disc, mid + disc):
-                if lam < 0:
-                    neg += 1
-                elif lam > 0:
-                    pos += 1
-                else:
-                    zero += 1
-            i += 2
-        else:
-            v = dmat[i, i]
-            if v < 0:
-                neg += 1
-            elif v > 0:
-                pos += 1
-            else:
-                zero += 1
-            i += 1
-    return neg, zero, pos
-
-
 def count_below(A: sp.csr_matrix, sigma: float) -> int:
-    """Number of eigenvalues of A strictly below sigma (Sylvester inertia)."""
-    B = A.toarray()
-    B[np.diag_indices_from(B)] -= sigma
-    neg, zero, _ = ldl_inertia(B)
-    return neg
+    """Number of eigenvalues of A strictly below sigma (Sylvester inertia).
+
+    SuperLU factors A - sigma I symmetrically with diagonal pivots only, so
+    U = D L^T and the negative pivots are the count.  ``DegenerateShift`` is
+    raised instead for a singular factor, an off-diagonal pivot, or a pivot
+    below ``PIVOT_RTOL`` times the largest.
+    """
+    B = (A - sigma * sp.identity(A.shape[0], format="csr")).tocsc()
+    try:
+        lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU reports an exactly singular factor
+        raise DegenerateShift(f"no inertia at shift {sigma!r}: {exc}") from None
+    pivots = lu.U.diagonal()
+    size = np.abs(pivots)
+    if not np.array_equal(lu.perm_r, lu.perm_c) or size.min() < PIVOT_RTOL * size.max():
+        raise DegenerateShift(f"no inertia at shift {sigma!r}: pivot off-diagonal or tiny")
+    return int(np.count_nonzero(pivots < 0.0))
 
 
 def solve(
@@ -198,9 +183,9 @@ def solve(
     ``how_many=None`` returns the full spectrum.  Problems with at most
     ``dense_threshold`` free vertices, and any full-spectrum request, are
     solved by dense tridiagonalization; larger partial requests go through
-    shift-invert Lanczos slices whose completeness is verified by inertia
-    counts (up to ``INERTIA_DENSE_LIMIT`` free vertices, above which the
-    meta flag ``inertia_verified`` reports False).
+    shift-invert Lanczos slices whose completeness is verified by sparse
+    inertia counts.  Either way ``meta["inertia_verified"]`` is True; the
+    sliced path also records its slices under ``meta["slices"]``.
     """
     free, K, d, A = _free_pencil(evp, allow_disconnected)
     n = len(free)
@@ -215,11 +200,10 @@ def solve(
         lams = lams[:k]
         Y = Y[:, :k]
         meta["method"] = "dense"
-        meta["inertia_verified"] = True  # full tridiagonalization, nothing to miss
     else:
-        lams, Y, verified = _sliced_lanczos(A, k, seed)
+        lams, Y, meta["slices"] = _sliced_lanczos(A, k, seed)
         meta["method"] = "lanczos-shift-invert"
-        meta["inertia_verified"] = verified
+    meta["inertia_verified"] = True
 
     lam_scale = _gershgorin_upper(A)
     res = _residual_max(K, d, lams, Y, s)
@@ -236,84 +220,100 @@ def solve(
     if len(lams) and lams[0] < -tiny:
         raise NotConverged(f"negative eigenvalue {lams[0]:.3e} beyond roundoff", partial=lams)
     lams = np.where(np.abs(lams) <= tiny, 0.0, np.clip(lams, 0.0, None))
-    return Spectrum(eigenvalues=np.sort(lams), meta=meta)
+    spec = Spectrum(eigenvalues=np.sort(lams), meta=meta)
+    meta["trust_ceiling"] = trust_ceiling(spec) if len(spec) else None
+    return spec
+
+
+def _slice_bounds(b_top: float, k: int) -> list[float]:
+    """Interior slice bounds below ``b_top``, about 220 eigenvalues apart."""
+    n_slices = max(1, math.ceil(k / 220))
+    return [b_top * ((i / n_slices) ** 1.6) for i in range(1, n_slices)]
+
+
+def _moved(b: float, moves: list) -> float:
+    """Step bound ``b`` up and log the move; give up after ``BOUND_MOVES``."""
+    if len(moves) >= BOUND_MOVES:
+        raise NotConverged(f"slice bound {b:.6e} still degenerate after {BOUND_MOVES} moves")
+    moves.append([b, b + abs(b) * BOUND_STEP_RTOL * 10.0 ** len(moves)])
+    return moves[-1][1]
+
+
+def _clear_count(A: sp.csr_matrix, b: float, moves: list) -> tuple[float, int]:
+    """(bound, count_below there), moving the bound up while the count refuses."""
+    while True:
+        try:
+            return b, count_below(A, b)
+        except DegenerateShift:
+            b = _moved(b, moves)
 
 
 def _sliced_lanczos(A: sp.csr_matrix, k: int, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
-    Slice boundaries are placed from a low-order fit of the counting
-    function; when the matrix is small enough for a dense factorization the
-    count inside every slice is certified with LDL inertia.
+    Bounds come from a probe and a growth rule and are counted once each; a
+    slice must hold exactly the eigenvalues its two counts promise.  A bound
+    whose count is refused, or within ``BOUND_CLUSTER_RTOL`` of a computed
+    eigenvalue, is moved up.  Returns the eigenpairs and per slice its
+    bounds, count, last ``k`` requested, attempts and moves of ``hi``.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
-    verify = n <= INERTIA_DENSE_LIMIT
-
-    if not verify and k > 2000:
-        raise NotConverged(
-            f"n={n} too large for certified slicing and k={k} too large for ARPACK",
-            partial=None,
-        )
-    if not verify:
-        lams, Y = spla.eigsh(A, k=k, sigma=-1e-9, which="LM", v0=v0, maxiter=5000)
-        order = np.argsort(lams)
-        return lams[order], Y[:, order], False
 
     # probe the counting function to place boundaries
     probe_k = min(max(32, k // 20), k, n - 1)
     lam_probe, _ = spla.eigsh(A, k=probe_k, sigma=-1e-9, which="LM", v0=v0, maxiter=5000)
-    lam_probe = np.sort(lam_probe)
-    top_probe = lam_probe[-1]
     growth = (k / probe_k) ** 1.6  # generic superlinear growth of lambda_j
-    b_top = top_probe * max(growth, 1.2) + 1e-9
-    while count_below(A, b_top) < k + 1:
-        b_top *= 1.6
-        if not math.isfinite(b_top):
+    top_moves = []
+    b_top, top_count = _clear_count(A, lam_probe.max() * max(growth, 1.2) + 1e-9, top_moves)
+    while top_count < k + 1:
+        if not math.isfinite(b_top * 1.6):
             raise NotConverged("failed to bracket the requested spectrum", partial=None)
+        b_top, top_count = _clear_count(A, b_top * 1.6, top_moves)
 
-    n_slices = max(1, math.ceil(k / 220))
-    bounds = [b_top * ((i / n_slices) ** 1.6) for i in range(n_slices + 1)]
-    bounds[0] = -1e-12 * b_top
-    counts = [0] + [count_below(A, b) for b in bounds[1:]]
+    interior = _slice_bounds(b_top, k)
+    moves = [[] for _ in interior] + [top_moves]
+    placed = [_clear_count(A, b, b_moves) for b, b_moves in zip(interior, moves)]
+    bounds = [-1e-12 * b_top] + [b for b, _ in placed] + [b_top]
+    counts = [0] + [c for _, c in placed] + [top_count]
 
-    lams_all = []
-    vecs_all = []
-    got = 0
-    for i in range(n_slices):
+    slices, lams_all, vecs_all = [], [], []
+    for i in range(len(bounds) - 1):
+        lo, hi = bounds[i], bounds[i + 1]
         want = counts[i + 1] - counts[i]
+        record = dict(lo=lo, hi=hi, count=want, k_requested=0, attempts=0, moves=moves[i])
+        slices.append(record)
         if want <= 0:
             continue
-        lo, hi = bounds[i], bounds[i + 1]
-        sigma = 0.5 * (lo + hi)
         pad = 8
         for attempt in range(4):
             k_req = min(want + pad, n - 1)
-            lam_i, y_i = spla.eigsh(A, k=k_req, sigma=sigma, which="LM", v0=v0, maxiter=5000)
+            lam_i, y_i = spla.eigsh(A, k=k_req, sigma=0.5 * (lo + hi), which="LM", v0=v0,
+                                    maxiter=5000)
+            record.update(k_requested=k_req, attempts=attempt + 1)
+            # never split a roundoff cluster at the top of the window
+            while np.any(np.abs(lam_i - hi) <= BOUND_CLUSTER_RTOL * abs(hi)):
+                hi, counts[i + 1] = _clear_count(A, _moved(hi, moves[i]), moves[i])
+            bounds[i + 1] = record["hi"] = hi
+            want = record["count"] = counts[i + 1] - counts[i]
             # half-open window matching the inertia difference #[lo, hi)
             sel = (lam_i >= lo) & (lam_i < hi)
             if int(sel.sum()) == want:
                 break
             pad *= 4
         else:
-            raise NotConverged(
-                f"slice ({lo:.3e}, {hi:.3e}] kept missing eigenvalues", partial=None
-            )
+            raise NotConverged(f"slice [{lo:.3e}, {hi:.3e}) kept missing eigenvalues")
         lams_all.append(lam_i[sel])
         vecs_all.append(y_i[:, sel])
-        got += want
-        if got >= k:
+        if counts[i + 1] >= k:
             break
 
-    lams = np.concatenate(lams_all) if lams_all else np.empty(0)
-    if len(lams) < k:
-        raise NotConverged(
-            f"slices delivered {len(lams)} of {k} requested eigenvalues", partial=lams
-        )
+    # kept slices hold exactly their counts and counts[-1] > k: k or more kept
+    lams = np.concatenate(lams_all)
     Y = np.hstack(vecs_all)
     order = np.argsort(lams)[:k]
-    return lams[order], Y[:, order], True
+    return lams[order], Y[:, order], slices
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gasketlab import geom
+from gasketlab import geom, spectra
 
 
 @pytest.fixture(scope="session")
@@ -12,6 +12,27 @@ def unit_triple():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+class _ShortEigsh:
+    """``scipy.sparse.linalg`` whose eigsh drops the eigenvalue nearest sigma."""
+
+    def __init__(self, spla):
+        self._spla = spla
+
+    def __getattr__(self, name):
+        return getattr(self._spla, name)
+
+    def eigsh(self, A, k, sigma, **kwargs):
+        lam, Y = self._spla.eigsh(A, k=k, sigma=sigma, **kwargs)
+        j = int(np.argmin(np.abs(lam - sigma)))
+        return np.delete(lam, j), np.delete(Y, j, axis=1)
+
+
+@pytest.fixture()
+def short_eigsh(monkeypatch):
+    """Every shift-invert slice comes back one eigenvalue short."""
+    monkeypatch.setattr(spectra, "spla", _ShortEigsh(spectra.spla))
 
 
 def random_triple(rng, lo=0.1, hi=10.0):

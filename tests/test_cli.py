@@ -129,6 +129,17 @@ def test_checks_interlacing_violation_exit_two(capsys, monkeypatch):
     assert err == ""
 
 
+def test_spectrum_not_converged_exit_one(capsys, monkeypatch, short_eigsh):
+    solve = spectra.solve
+    monkeypatch.setattr(
+        spectra, "solve", lambda evp, **kw: solve(evp, dense_threshold=100, **kw)
+    )
+    code, out, err = run_cli(capsys, "spectrum", "--depth", "5", "--top", "150")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: slice [") and "kept missing eigenvalues" in err
+
+
 def test_unknown_flag_exit_one(capsys):
     assert main(["gasket", "count", "--bogus"]) == 1
 

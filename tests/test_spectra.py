@@ -8,9 +8,11 @@ import scipy.sparse as sp
 from gasketlab import geom, spectra
 from gasketlab.errors import (
     AboveTrustCeiling,
+    DegenerateShift,
     Disconnected,
     InsufficientSpectrum,
     InterlacingViolation,
+    NotConverged,
 )
 
 
@@ -108,6 +110,12 @@ def test_iterative_path_matches_dense(unit_triple):
     assert it.meta["inertia_verified"]
     assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
     assert it.meta["residual_max"] <= 1e-8 * it.meta["lambda_scale"]
+    slices = it.meta["slices"]
+    assert sum(sl["count"] for sl in slices) >= k
+    assert all(sl["lo"] < sl["hi"] and sl["attempts"] >= (sl["count"] > 0) for sl in slices)
+    assert all(sl["k_requested"] >= sl["count"] for sl in slices)
+    assert [sl["hi"] for sl in slices[:-1]] == [sl["lo"] for sl in slices[1:]]
+    assert it.meta["trust_ceiling"] == spectra.trust_ceiling(it)
 
 
 def test_inertia_consistency_random_shifts(unit_triple, rng):
@@ -118,6 +126,68 @@ def test_inertia_consistency_random_shifts(unit_triple, rng):
     for _ in range(10):
         sigma = float(rng.uniform(lam[0], lam[-1]))
         assert spectra.count_below(A, sigma) == int(np.sum(lam < sigma))
+
+
+@pytest.mark.parametrize("scheme", ["trace m=7", "arcfem m=5 refine 3"])
+def test_sparse_inertia_matches_eigvalsh(unit_triple, scheme):
+    # 100 seeded shifts spread over the spectrum by index; shifts within
+    # 1e-9 (relative) of an eigenvalue are left out
+    if scheme.startswith("trace"):
+        evp = spectra.evp_from_trace(unit_triple, 7)
+    else:
+        evp = spectra.evp_from_arc_fem(unit_triple, 5, 3)
+    _, _, _, A = spectra._free_pencil(evp, False)
+    lam = np.linalg.eigvalsh(A.toarray())
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 100:
+        j = int(rng.integers(0, len(lam) - 1))
+        sigma = float(lam[j] + rng.uniform() * (lam[j + 1] - lam[j]))
+        if np.min(np.abs(lam - sigma)) <= 1e-9 * abs(sigma):
+            continue
+        assert spectra.count_below(A, sigma) == int(np.sum(lam < sigma)), sigma
+        checked += 1
+
+
+def test_count_below_refuses_exact_eigenvalue(unit_triple):
+    # the unconstrained pencil has the exact eigenvalue 0 (constants)
+    evp = spectra.evp_from_trace(unit_triple, 7, dirichlet="none")
+    _, _, _, A = spectra._free_pencil(evp, False)
+    with pytest.raises(DegenerateShift):
+        spectra.count_below(A, 0.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-11])
+def test_slice_bound_on_double_eigenvalue(unit_triple, monkeypatch, offset):
+    # two identical blocks make every eigenvalue exactly double; a slice
+    # bound forced onto one, or 5e-11 (relative) above it, must be moved
+    # off it before it is trusted
+    block = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
+    n = block.n_total
+    evp = spectra.GeneralizedEVP(
+        sp.block_diag([block.stiffness, block.stiffness]).tocsr(),
+        np.concatenate([block.mass, block.mass]),
+        (0, 1, 2, n, n + 1, n + 2),
+    )
+    _, _, _, A_block = spectra._free_pencil(
+        spectra.GeneralizedEVP(block.stiffness, block.mass, (0, 1, 2)), False
+    )
+    double = float(np.linalg.eigvalsh(A_block.toarray())[25]) * (1.0 + offset)
+    monkeypatch.setattr(spectra, "_slice_bounds", lambda b_top, k: [double])
+    k = 100
+    dense = spectra.solve(evp, allow_disconnected=True).eigenvalues
+    it = spectra.solve(evp, how_many=k, dense_threshold=50, allow_disconnected=True)
+    assert it.meta["inertia_verified"]
+    assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
+    first = it.meta["slices"][0]
+    assert first["moves"] and first["moves"][0][0] == double
+    assert first["hi"] > double and first["count"] == int(np.sum(dense < first["hi"]))
+
+
+def test_sliced_not_converged_when_slices_come_short(unit_triple, short_eigsh):
+    evp = spectra.evp_from_trace(unit_triple, 5)
+    with pytest.raises(NotConverged, match="kept missing"):
+        spectra.solve(evp, how_many=150, dense_threshold=100)
 
 
 def test_dirichlet_monotonicity(unit_triple):
