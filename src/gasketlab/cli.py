@@ -128,6 +128,10 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _emit_json(args, obj):
+    _emit(args, json.dumps(obj, indent=2) + "\n")
+
+
 def _cmd_gasket(args) -> int:
     from . import gasket
 
@@ -143,26 +147,22 @@ def _cmd_gasket(args) -> int:
         c0 = gasket.inscribed_curvature(t.quad)
         grid = gasket.geometric_grid(c0, args.lambda_max * c0, args.grid)
         fit = gasket.fit_dimension(gasket.count_profile(t, grid))
-        _emit(
+        _emit_json(
             args,
-            json.dumps(
-                {
-                    "slope": fit.slope,
-                    "prefactor": fit.prefactor,
-                    "r_squared": fit.r_squared,
-                    "window": list(fit.window),
-                    "n_points": fit.n_points,
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "slope": fit.slope,
+                "prefactor": fit.prefactor,
+                "r_squared": fit.r_squared,
+                "window": list(fit.window),
+                "n_points": fit.n_points,
+            },
         )
         return 0
     if args.subcommand == "render":
         _emit(args, gasket.render_svg(t, args.depth, stroke_width=args.stroke_width))
         return 0
     if args.subcommand == "cells":
-        _emit(args, json.dumps(gasket.cells_to_json(t, args.depth), indent=2) + "\n")
+        _emit_json(args, gasket.cells_to_json(t, args.depth))
         return 0
     raise AssertionError
 
@@ -188,7 +188,7 @@ def _cmd_spectrum(args) -> int:
         with open(args.export_matrix + ".mass.txt", "w", encoding="utf-8") as fh:
             fh.write(forms.mass_to_text(evp.mass))
     spec = spectra.solve(evp, how_many=args.top or None, seed=args.seed)
-    _emit(args, json.dumps(spec.to_json(), indent=2) + "\n")
+    _emit_json(args, spec.to_json())
     return 0
 
 
@@ -199,22 +199,18 @@ def _cmd_weyl(args) -> int:
     evp = _build_evp(args, t)
     spec = spectra.solve(evp, how_many=args.top or None, seed=args.seed)
     fit = spectra.weyl_fit(spec)
-    _emit(
+    _emit_json(
         args,
-        json.dumps(
-            {
-                "scheme": args.scheme,
-                "depth": args.depth,
-                "slope": fit.slope,
-                "prefactor": fit.prefactor,
-                "window": list(fit.window),
-                "residual": fit.residual,
-                "n_points": fit.n_points,
-                "normalization": "laplacian",
-            },
-            indent=2,
-        )
-        + "\n",
+        {
+            "scheme": args.scheme,
+            "depth": args.depth,
+            "slope": fit.slope,
+            "prefactor": fit.prefactor,
+            "window": list(fit.window),
+            "residual": fit.residual,
+            "n_points": fit.n_points,
+            "normalization": "laplacian",
+        },
     )
     return 0
 
@@ -236,24 +232,12 @@ def _cmd_carpet(args) -> int:
     if args.subcommand == "dim":
         orbit = carpet.enumerate_circles(cfg, args.min_radius)
         fit = carpet.fit_carpet_dimension(orbit)
-        _emit(
-            args,
-            json.dumps(
-                {"q": args.q, "dimension": fit.slope, "window": list(fit.window)}, indent=2
-            )
-            + "\n",
-        )
+        _emit_json(args, {"q": args.q, "dimension": fit.slope, "window": list(fit.window)})
         return 0
     if args.subcommand == "separation":
         orbit = carpet.enumerate_circles(cfg, args.min_radius)
         eps, pairs = carpet.separation_stats(orbit)
-        _emit(
-            args,
-            json.dumps(
-                {"q": args.q, "epsilon_observed": eps, "pairs_examined": pairs}, indent=2
-            )
-            + "\n",
-        )
+        _emit_json(args, {"q": args.q, "epsilon_observed": eps, "pairs_examined": pairs})
         return 0
     if args.subcommand == "harmonicity":
         rows = []
@@ -270,7 +254,7 @@ def _cmd_carpet(args) -> int:
                     rows.append(
                         {"cutoff": cutoff, "bump": bi, "coordinate": coord, "residual": val}
                     )
-        _emit(args, json.dumps(rows, indent=2) + "\n")
+        _emit_json(args, rows)
         return 0
     raise AssertionError
 

@@ -233,30 +233,6 @@ def build_complex(t: DiskTriple, depth: int) -> GasketComplex:
 # circle counting
 
 
-def count_inscribed(t: DiskTriple, lam: float, cap: int = 10**8) -> int:
-    """Number of words whose inscribed-disk curvature is at most ``lam``.
-
-    Depth-first search pruned by the strict monotonicity of the inscribed
-    curvature along words, so the count is exact.
-    """
-    if lam <= 0.0:
-        return 0
-    count = 0
-    stack = [t.quad]
-    while stack:
-        a, b, c, k = stack.pop()
-        cin = a + b + c + 2.0 * k
-        if cin > lam:
-            continue
-        count += 1
-        if count > cap:
-            raise BudgetExceeded(f"count exceeded cap {cap}")
-        stack.append((cin, b, c, k + b + c))
-        stack.append((a, cin, c, k + a + c))
-        stack.append((a, b, cin, k + a + b))
-    return count
-
-
 def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     """Counting function N(lam) on a sorted grid, from a single pruned DFS."""
     grid = sorted(float(x) for x in grid)

@@ -1,16 +1,17 @@
 """Generalized eigenproblems K u = lambda M u for the discrete energy forms.
 
 Small problems go through a dense full tridiagonalization.  Above the dense
-threshold a shift-invert Lanczos path computes spectrum slices whose
-completeness is certified at every size by sparse Sylvester inertia counts
-of K - sigma M, and every reported pair carries a residual certificate.
+threshold a shift-invert Lanczos path computes spectrum slices.  Their
+bounds are placed by bisection on sparse Sylvester inertia counts of
+K - sigma M, and the same counts certify each slice complete at every size;
+every reported pair carries a residual certificate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,7 @@ from .gasket import apply_word, build_complex, index_set_I
 from .geom import DiskTriple, transform_triple
 
 DENSE_THRESHOLD = 3000
+SLICE_SIZE = 220  # eigenvalues aimed at per shift-invert slice
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-12  # min/max |pivot| below this: the shift sits on an eigenvalue
 BOUND_CLUSTER_RTOL = 1e-10  # a computed eigenvalue this close moves a slice bound
@@ -187,25 +189,28 @@ def solve(
     inertia counts.  Either way ``meta["inertia_verified"]`` is True; the
     sliced path also records its slices under ``meta["slices"]``.
     """
+    if how_many is not None and how_many < 0:
+        raise ValueError(f"how_many must be non-negative, got {how_many}")
     free, K, d, A = _free_pencil(evp, allow_disconnected)
     n = len(free)
     s = 1.0 / np.sqrt(d)
     k = n if how_many is None else min(int(how_many), n)
+    lam_scale = _gershgorin_upper(A)
 
     meta = dict(evp.meta)
     meta.update({"boundary": tuple(evp.boundary), "n_free": n})
+    meta["method"] = "dense" if n <= dense_threshold or k == n else "lanczos-shift-invert"
 
-    if n <= dense_threshold or k == n:
+    if k == 0:  # nothing asked: no factorization on either path
+        lams, Y = np.empty(0), np.empty((n, 0))
+    elif meta["method"] == "dense":
         lams, Y = sla.eigh(A.toarray())
         lams = lams[:k]
         Y = Y[:, :k]
-        meta["method"] = "dense"
     else:
-        lams, Y, meta["slices"] = _sliced_lanczos(A, k, seed)
-        meta["method"] = "lanczos-shift-invert"
+        lams, Y, meta["slices"] = _sliced_lanczos(A, k, lam_scale, seed)
     meta["inertia_verified"] = True
 
-    lam_scale = _gershgorin_upper(A)
     res = _residual_max(K, d, lams, Y, s)
     meta["residual_max"] = res
     meta["lambda_scale"] = lam_scale
@@ -225,12 +230,6 @@ def solve(
     return spec
 
 
-def _slice_bounds(b_top: float, k: int) -> list[float]:
-    """Interior slice bounds below ``b_top``, about 220 eigenvalues apart."""
-    n_slices = max(1, math.ceil(k / 220))
-    return [b_top * ((i / n_slices) ** 1.6) for i in range(1, n_slices)]
-
-
 def _moved(b: float, moves: list) -> float:
     """Step bound ``b`` up and log the move; give up after ``BOUND_MOVES``."""
     if len(moves) >= BOUND_MOVES:
@@ -248,11 +247,48 @@ def _clear_count(A: sp.csr_matrix, b: float, moves: list) -> tuple[float, int]:
             b = _moved(b, moves)
 
 
-def _sliced_lanczos(A: sp.csr_matrix, k: int, seed: int):
+def _split(lo: float, hi: float) -> float:
+    """Bisection point of (lo, hi): geometric once ``lo`` is positive."""
+    return math.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
+
+
+def _place_bounds(A: sp.csr_matrix, k: int, top: float) -> list[tuple[float, int, list]]:
+    """Upper slice bounds for the k lowest eigenvalues, by bisection on the count.
+
+    With S = ceil((k+1) / SLICE_SIZE) slices the targets are i * ceil((k+1) / S)
+    and, last, k + 1.  Each bound is the lowest counted shift whose count
+    reaches its target; the bracket between the nearest counted shifts is split
+    until that count is at most ``step // 8`` above the target, or the bracket
+    is too narrow (1e-4 relative) to hold a moved split point.  The bracket
+    starts as [-1e-12 top, top]: the pencil is semidefinite and ``top``
+    bounds the spectrum; ``top`` is counted too, so every bound is a counted
+    shift.  Returns (bound, count, moves) per target.
+    """
+    n_slices = math.ceil((k + 1) / SLICE_SIZE)
+    step = math.ceil((k + 1) / n_slices)
+    width = BOUND_STEP_RTOL * 10.0**BOUND_MOVES
+    top_moves = []
+    counted = [(-1e-12 * top, 0, []), (*_clear_count(A, top, top_moves), top_moves)]
+    placed = []
+    for target in [i * step for i in range(1, n_slices)] + [k + 1]:
+        while True:
+            j = bisect_left([c for _, c, _ in counted], target)
+            (lo, _, _), (hi, count, _) = counted[j - 1], counted[j]
+            if count <= target + step // 8 or hi - lo <= width * hi:
+                break
+            moves = []
+            insort(counted, (*_clear_count(A, _split(lo, hi), moves), moves),
+                   key=lambda e: e[0])
+        placed.append(counted[j])
+    return placed
+
+
+def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
-    Bounds come from a probe and a growth rule and are counted once each; a
-    slice must hold exactly the eigenvalues its two counts promise.  A bound
+    Bounds are placed by bisection on ``count_below`` (``_place_bounds``),
+    so a slice must hold exactly the eigenvalues its two counts promise; the
+    lowest bound, -1e-12 top, lies below the semidefinite spectrum.  A bound
     whose count is refused, or within ``BOUND_CLUSTER_RTOL`` of a computed
     eigenvalue, is moved up.  Returns the eigenpairs and per slice its
     bounds, count, last ``k`` requested, attempts and moves of ``hi``.
@@ -261,22 +297,10 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, seed: int):
     rng = np.random.default_rng(seed)
     v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
 
-    # probe the counting function to place boundaries
-    probe_k = min(max(32, k // 20), k, n - 1)
-    lam_probe, _ = spla.eigsh(A, k=probe_k, sigma=-1e-9, which="LM", v0=v0, maxiter=5000)
-    growth = (k / probe_k) ** 1.6  # generic superlinear growth of lambda_j
-    top_moves = []
-    b_top, top_count = _clear_count(A, lam_probe.max() * max(growth, 1.2) + 1e-9, top_moves)
-    while top_count < k + 1:
-        if not math.isfinite(b_top * 1.6):
-            raise NotConverged("failed to bracket the requested spectrum", partial=None)
-        b_top, top_count = _clear_count(A, b_top * 1.6, top_moves)
-
-    interior = _slice_bounds(b_top, k)
-    moves = [[] for _ in interior] + [top_moves]
-    placed = [_clear_count(A, b, b_moves) for b, b_moves in zip(interior, moves)]
-    bounds = [-1e-12 * b_top] + [b for b, _ in placed] + [b_top]
-    counts = [0] + [c for _, c in placed] + [top_count]
+    placed = _place_bounds(A, k, top)
+    bounds = [-1e-12 * top] + [b for b, _, _ in placed]
+    counts = [0] + [c for _, c, _ in placed]
+    moves = [m for _, _, m in placed]
 
     slices, lams_all, vecs_all = [], [], []
     for i in range(len(bounds) - 1):
@@ -303,7 +327,8 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, seed: int):
                 break
             pad *= 4
         else:
-            raise NotConverged(f"slice [{lo:.3e}, {hi:.3e}) kept missing eigenvalues")
+            raise NotConverged(f"slice [{lo:.3e}, {hi:.3e}) kept missing eigenvalues",
+                               partial=np.sort(np.concatenate([np.empty(0), *lams_all])))
         lams_all.append(lam_i[sel])
         vecs_all.append(y_i[:, sel])
         if counts[i + 1] >= k:
@@ -511,17 +536,15 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
+def _census_vertex_ids(cx, truncation: int) -> list[int]:
+    """Sorted distinct vertex ids of the census cells of ``truncation`` in ``cx``."""
+    cells = {cell.word: cell for d in range(truncation + 1) for cell in cx.cells(d)}
+    return sorted({v for w in census_index_set(truncation) for v in cells[w].vertex_ids})
+
+
 def census_vertices(t: DiskTriple, n: int):
     """Distinct tangency vertices of the census cells at tail depth n."""
-    cx = build_complex(t, n)
-    cells_by_word = {}
-    for depth in range(n + 1):
-        for cell in cx.cells(depth):
-            cells_by_word[cell.word] = cell
-    ids = set()
-    for w in census_index_set(n):
-        ids.update(cells_by_word[w].vertex_ids)
-    return sorted(ids)
+    return _census_vertex_ids(build_complex(t, n), n)
 
 
 def subdivision_census(
@@ -547,28 +570,20 @@ def subdivision_census(
         raise ValueError(f"depth {depth} must be at least the effective truncation {T}")
 
     cx = build_complex(t, depth)
-    cells_by_word = {}
-    for d in range(depth + 1):
-        for cell in cx.cells(d):
-            cells_by_word[cell.word] = cell
-
-    words = census_index_set(T)
-    v_ids = set()
-    for w in words:
-        v_ids.update(cells_by_word[w].vertex_ids)
+    v_ids = _census_vertex_ids(cx, T)
 
     parent = solve(evp_from_trace(t, depth, dirichlet="v0", cx=cx))
     parent_count = int(np.sum(parent.eigenvalues <= lam))
     # constraining all census vertices decouples the cells by construction
     parent_vl = solve(
-        evp_from_trace(t, depth, dirichlet=tuple(sorted(v_ids)), cx=cx),
+        evp_from_trace(t, depth, dirichlet=tuple(v_ids), cx=cx),
         allow_disconnected=True,
     )
     parent_vl_count = int(np.sum(parent_vl.eigenvalues <= lam))
 
     rows = []
     child_sum = 0
-    for w in words:
+    for w in census_index_set(T):
         child_depth = depth - len(w)
         child = apply_word(t, w)
         evp = evp_from_trace(child, child_depth, dirichlet="v0")

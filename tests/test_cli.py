@@ -22,7 +22,7 @@ def test_count_csv_matches_library(capsys, tmp_path):
     assert lines[0] == "lambda,count"
     lam, count = lines[-1].split(",")
     t = geom.triple_from_curvatures(1.0, 1.0, 1.0)
-    assert int(count) == gasket.count_inscribed(t, float(lam))
+    assert int(count) == gasket.count_profile(t, [float(lam)])[0][1]
 
 
 def test_cli_deterministic_output(capsys):
@@ -138,6 +138,12 @@ def test_spectrum_not_converged_exit_one(capsys, monkeypatch, short_eigsh):
     assert code == 1
     assert out == ""
     assert err.startswith("error: slice [") and "kept missing eigenvalues" in err
+
+
+def test_spectrum_negative_top_exit_one(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--depth", "3", "--top", "-5")
+    assert code == 1 and out == ""
+    assert err == "error: how_many must be non-negative, got -5\n"
 
 
 def test_unknown_flag_exit_one(capsys):

@@ -10,6 +10,26 @@ from gasketlab.errors import BudgetExceeded, InsufficientRange
 SQRT3 = math.sqrt(3.0)
 
 
+def count_at(t, lam, cap=10**8):
+    """N(lam) from the counting DFS at a single grid point."""
+    [(_, n)] = gasket.count_profile(t, [lam], cap=cap)
+    return n
+
+
+def brute_force_count(t, lam, max_depth=12):
+    """N(lam) by full enumeration, level by level, via the integer matrix
+    route; stops once a whole level exceeds lam (children curve more)."""
+    total, depth, frontier = 0, 0, [t.quad]
+    while True:
+        level = [gasket.inscribed_curvature(q) for q in frontier]
+        total += sum(1 for c in level if c <= lam)
+        if min(level) > lam:
+            return total
+        frontier = [gasket.child_quad(q, ch) for q in frontier for ch in "123"]
+        depth += 1
+        assert depth <= max_depth
+
+
 def closed_form_power(j: int, n: int):
     """Closed form of the n-th power of a letter matrix (independent oracle)."""
     if j == 1:
@@ -117,10 +137,10 @@ def test_monotonicity_to_depth_6(unit_triple):
 
 def test_count_inscribed_edge_cases(unit_triple):
     c0 = gasket.inscribed_curvature(unit_triple.quad)
-    assert gasket.count_inscribed(unit_triple, c0 * 0.999) == 0
-    assert gasket.count_inscribed(unit_triple, c0) == 1
+    assert count_at(unit_triple, c0 * 0.999) == 0
+    assert count_at(unit_triple, c0) == 1
     with pytest.raises(BudgetExceeded):
-        gasket.count_inscribed(unit_triple, 1e4, cap=10)
+        count_at(unit_triple, 1e4, cap=10)
 
 
 def test_count_inscribed_brute_force_oracle(unit_triple):
@@ -138,7 +158,7 @@ def test_count_inscribed_brute_force_oracle(unit_triple):
             if cin <= lam:
                 total += 1
     assert deepest_min > lam  # enumeration depth is sufficient
-    assert gasket.count_inscribed(unit_triple, lam) == total
+    assert count_at(unit_triple, lam) == total
 
 
 def test_halfplane_gasket_enumeration():
@@ -149,26 +169,14 @@ def test_halfplane_gasket_enumeration():
     assert [cx.num_vertices_at(m) for m in range(4)] == [3, 6, 15, 42]
     assert gasket.audit_vertex_dedupe(cx) == 42
     # brute-force oracle via the integer matrix route, depth certified
-    lam = 100.0
-    total = 0
-    depth = 0
-    frontier = [th.quad]
-    while True:
-        level_min = min(gasket.inscribed_curvature(q) for q in frontier)
-        total += sum(1 for q in frontier if gasket.inscribed_curvature(q) <= lam)
-        if level_min > lam:
-            break
-        frontier = [gasket.child_quad(q, ch) for q in frontier for ch in "123"]
-        depth += 1
-        assert depth <= 12
-    assert gasket.count_inscribed(th, lam) == total
+    assert count_at(th, 100.0) == brute_force_count(th, 100.0)
 
 
 def test_count_profile_matches_pointwise(unit_triple):
     grid = [10.0, 30.0, 100.0, 300.0]
     prof = gasket.count_profile(unit_triple, grid)
     for lam, n in prof:
-        assert n == gasket.count_inscribed(unit_triple, lam)
+        assert n == brute_force_count(unit_triple, lam)
 
 
 def test_fit_dimension_synthetic_power_law():
@@ -213,7 +221,7 @@ def test_symmetry_equivariance(unit_triple, rng):
     disks = [unit_triple.disks[j] for j in perm]
     t2 = geom.validate_triple(*disks)
     for lam in (50.0, 500.0):
-        assert gasket.count_inscribed(unit_triple, lam) == gasket.count_inscribed(t2, lam)
+        assert count_at(unit_triple, lam) == count_at(t2, lam)
     cx1 = gasket.build_complex(unit_triple, 3)
     cx2 = gasket.build_complex(t2, 3)
     s1 = sorted((round(x, 9), round(y, 9)) for x, y in cx1.points)

@@ -172,22 +172,102 @@ def test_slice_bound_on_double_eigenvalue(unit_triple, monkeypatch, offset):
     _, _, _, A_block = spectra._free_pencil(
         spectra.GeneralizedEVP(block.stiffness, block.mass, (0, 1, 2)), False
     )
-    double = float(np.linalg.eigvalsh(A_block.toarray())[25]) * (1.0 + offset)
-    monkeypatch.setattr(spectra, "_slice_bounds", lambda b_top, k: [double])
-    k = 100
+    # k = 220 gives two slices and a first target of 111 eigenvalues; the
+    # double block eigenvalue 55 is the 111th and 112th of the pair
+    double = float(np.linalg.eigvalsh(A_block.toarray())[55]) * (1.0 + offset)
+    split, forced = spectra._split, []
+
+    def split_onto_double(lo, hi):
+        if not forced and lo < double < hi:
+            forced.append((lo, hi))
+            return double
+        return split(lo, hi)
+
+    monkeypatch.setattr(spectra, "_split", split_onto_double)
+    k = 220
     dense = spectra.solve(evp, allow_disconnected=True).eigenvalues
     it = spectra.solve(evp, how_many=k, dense_threshold=50, allow_disconnected=True)
-    assert it.meta["inertia_verified"]
+    assert forced and it.meta["inertia_verified"]
     assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
     first = it.meta["slices"][0]
     assert first["moves"] and first["moves"][0][0] == double
     assert first["hi"] > double and first["count"] == int(np.sum(dense < first["hi"]))
 
 
+def test_slice_placement_by_bisection(unit_triple, monkeypatch):
+    # trace m=7, k=1000: five slices of at most step + step // 8 eigenvalues
+    # (the bisection tolerance), each bound a shift that count_below counted,
+    # and no eigsh call beyond one per slice
+    evp = spectra.evp_from_trace(unit_triple, 7)
+    k = 1000
+    n_slices = math.ceil((k + 1) / spectra.SLICE_SIZE)
+    step = math.ceil((k + 1) / n_slices)
+    counted, eigsh_calls = {}, []
+    count_below, spla = spectra.count_below, spectra.spla
+
+    def counting(A, sigma):
+        counted[sigma] = count_below(A, sigma)
+        return counted[sigma]
+
+    class CountingEigsh:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def eigsh(self, *args, **kwargs):
+            eigsh_calls.append(kwargs["sigma"])
+            return spla.eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "count_below", counting)
+    monkeypatch.setattr(spectra, "spla", CountingEigsh())
+    s = spectra.solve(evp, how_many=k)
+    slices = s.meta["slices"]
+    assert s.meta["inertia_verified"] and len(slices) == n_slices
+    assert all(sl["count"] <= step + step // 8 for sl in slices)
+    assert sum(sl["count"] for sl in slices) >= k + 1
+    assert all(counted[sl["hi"]] == sum(x["count"] for x in slices[: i + 1])
+               for i, sl in enumerate(slices))
+    if all(sl["attempts"] <= 1 for sl in slices):
+        assert len(eigsh_calls) == sum(sl["count"] > 0 for sl in slices)
+
+
 def test_sliced_not_converged_when_slices_come_short(unit_triple, short_eigsh):
     evp = spectra.evp_from_trace(unit_triple, 5)
-    with pytest.raises(NotConverged, match="kept missing"):
+    with pytest.raises(NotConverged, match="kept missing") as caught:
         spectra.solve(evp, how_many=150, dense_threshold=100)
+    assert len(caught.value.partial) == 0  # the first slice already came short
+
+
+def test_sliced_not_converged_keeps_finished_slices(unit_triple, short_eigsh):
+    # only the second slice comes short: the first slice's eigenvalues,
+    # all the dense eigenvalues below the first bound, are attached
+    evp = spectra.evp_from_trace(unit_triple, 5)
+    dense = spectra.solve(evp).eigenvalues
+    short_eigsh.honest = 100
+    first_hi = spectra.solve(evp, how_many=300, dense_threshold=100).meta["slices"][0]["hi"]
+    short_eigsh.honest = 1
+    with pytest.raises(NotConverged, match="kept missing") as caught:
+        spectra.solve(evp, how_many=300, dense_threshold=100)
+    below = dense[dense < first_hi]
+    partial = caught.value.partial
+    assert len(partial) == len(below) > 0
+    assert np.max(np.abs(partial - below) / below) < 1e-9
+
+
+@pytest.mark.parametrize("dense_threshold", [3000, 10])
+def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_threshold):
+    evp = spectra.evp_from_trace(unit_triple, 3)  # 39 free vertices
+    with pytest.raises(ValueError, match="non-negative"):
+        spectra.solve(evp, how_many=-5, dense_threshold=dense_threshold)
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorization for an empty request")
+
+    monkeypatch.setattr(spectra, "count_below", no_factorization)
+    monkeypatch.setattr(spectra.sla, "eigh", no_factorization)
+    monkeypatch.setattr(spectra.spla, "eigsh", no_factorization)
+    s = spectra.solve(evp, how_many=0, dense_threshold=dense_threshold)
+    assert len(s) == 0 and s.meta["inertia_verified"] and s.meta["trust_ceiling"] is None
+    assert s.meta["method"] == ("dense" if dense_threshold > 39 else "lanczos-shift-invert")
 
 
 def test_dirichlet_monotonicity(unit_triple):
