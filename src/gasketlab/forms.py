@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import HalfPlanePresent, QuadratureUnstable
 from .gasket import GasketComplex, build_complex
-from .geom import DiskTriple, Point, _circumcircle, circumscribed_disk
+from .geom import DiskTriple, Point
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,13 +45,13 @@ def _conductances(quad: np.ndarray) -> np.ndarray:
 class Network:
     """Weighted graph with energy E(u) = sum_e c_e (u_i - u_j)^2.
 
-    ``edges`` is an (E, 2) int array of endpoint ids.  ``edge_mass`` is the
+    ``points`` is an (n, 2) array and ``edges`` an (E, 2) int array of endpoint ids.  ``edge_mass`` is the
     per-edge measure, lumped half to each endpoint; the mass methods need it,
     and it is None for the trace form.  Vertex sums accumulate edge by edge
     over the endpoint sequence i_0, j_0, i_1, j_1, ...
     """
 
-    points: list[Point]
+    points: np.ndarray
     edges: np.ndarray
     conductance: np.ndarray
     edge_mass: np.ndarray | None
@@ -109,9 +109,8 @@ def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) 
         raise HalfPlanePresent("trace form needs three bounded disks")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
-    cells = cx.cells(m)
-    cond = _conductances(np.array([cell.quad for cell in cells])).ravel()
-    vids = np.array([cell.vertex_ids for cell in cells])
+    cond = _conductances(cx.quads[m]).ravel()
+    vids = cx.vertex_ids[m]
     # edge j of a cell joins q_{j+1} and q_{j+2}; each depth-m edge lies on
     # exactly one depth-m cell, so no two cells contribute the same edge
     ends = np.sort(np.stack((vids[:, [1, 2, 0]], vids[:, [2, 0, 1]]), axis=-1), axis=-1)
@@ -157,17 +156,16 @@ def assemble_mass_trace(
         cx = build_complex(t, m)
     if scheme == "mu":
         return MassVector(values=_mu_vertex_masses(t, m, cx), scheme="mu")
-    cells = cx.cells(m)
-    cell_mass = 2.0 * np.array([[cell.area] for cell in cells])
+    cell_mass = 2.0 * cx.areas[m][:, None]
     if scheme == "thirds":
         w = np.repeat(cell_mass / 3.0, 3, axis=1)
     elif scheme == "arclen":
-        lens = np.array([_cell_arc_lengths(cx, cell) for cell in cells])
+        lens = _cell_arc_lengths(cx, m)
         tot = lens[:, :1] + lens[:, 1:2] + lens[:, 2:]
         w = cell_mass * (lens[:, [1, 2, 0]] + lens[:, [2, 0, 1]]) / (2.0 * tot)
     else:
         raise ValueError(f"unknown mass scheme {scheme!r}")
-    vids = np.array([cell.vertex_ids for cell in cells])
+    vids = cx.vertex_ids[m]
     masses = np.bincount(vids.ravel(), weights=w.ravel(), minlength=cx.num_vertices_at(m))
     return MassVector(values=masses, scheme=scheme)
 
@@ -176,32 +174,34 @@ def _mu_vertex_masses(t: DiskTriple, m: int, cx: GasketComplex) -> np.ndarray:
     return assemble_arc_fem(t, m, 1, cx).mass_vector().values[: cx.num_vertices_at(m)]
 
 
-def _cell_arc_lengths(cx: GasketComplex, cell) -> tuple[float, float, float]:
-    """Length of the cell boundary arc on each member circle."""
-    qp = [cx.points[i] for i in cell.vertex_ids]
-    cir_center, cir_r = _circumcircle(*qp)
-    out = []
-    for j in range(3):
-        d = cx.circles[cell.circle_ids[j]].disk
-        cxy = d.center
-        a = math.atan2(qp[(j + 1) % 3][1] - cxy[1], qp[(j + 1) % 3][0] - cxy[0])
-        b = math.atan2(qp[(j + 2) % 3][1] - cxy[1], qp[(j + 2) % 3][0] - cxy[0])
-        sweep = _pick_arc(cxy, d.radius, a, b, cir_center, cir_r)[1]
-        out.append(d.radius * sweep)
-    return tuple(out)
+def _cell_arc_lengths(cx: GasketComplex, m: int) -> np.ndarray:
+    """(3^m, 3) lengths of each depth-m cell's boundary arc on each member."""
+    cids = cx.circle_ids[m]
+    q = cx.points[cx.vertex_ids[m]]
+    c = cx.centers[cids]
+    sweep = _facing_arc(_angles(q[:, [1, 2, 0]] - c), _angles(q[:, [2, 0, 1]] - c))[1]
+    return cx.radii[cids] * sweep
 
 
-def _pick_arc(center, radius, theta_a, theta_b, sel_center, sel_radius):
-    """Of the two arcs between two boundary angles, pick the one whose
-    midpoint lies inside the selection circle (the cell's circumdisk)."""
-    sweep1 = (theta_b - theta_a) % TWO_PI
-    for start, sweep in ((theta_a, sweep1), (theta_b, TWO_PI - sweep1)):
-        mid = start + 0.5 * sweep
-        mx = center[0] + radius * math.cos(mid)
-        my = center[1] + radius * math.sin(mid)
-        if math.hypot(mx - sel_center[0], my - sel_center[1]) < sel_radius:
-            return start, sweep
-    raise ValueError("neither candidate arc faces the ideal triangle")
+def _angles(d: np.ndarray) -> np.ndarray:
+    """Polar angles of (..., 2) offsets by ``math.atan2``: ``np.arctan2``
+    rounds differently in the last bit on some inputs."""
+    x, y = d.reshape(-1, 2).T.tolist()
+    return np.array(list(map(math.atan2, y, x))).reshape(d.shape[:-1])
+
+
+def _facing_arc(theta_a, theta_b):
+    """(start, sweep) of the arc between two boundary angles of a member that
+    faces the ideal triangle.
+
+    That arc spans the angle of the center triangle at the member, which is
+    below pi (the tangency points lie on the center segments), so it is the
+    shorter of the two: from ``theta_a`` if (theta_b - theta_a) mod 2 pi is
+    below pi, else from ``theta_b``.
+    """
+    sweep = np.mod(theta_b - theta_a, TWO_PI)
+    short = sweep < math.pi
+    return np.where(short, theta_a, theta_b), np.where(short, sweep, TWO_PI - sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +213,14 @@ class ArcNetwork(Network):
     """P1 network on the truncated arc family (outer arcs + inscribed circles).
 
     Edge conductance is rad/len and edge mass rad*len with len the arc
-    length.  ``arc_ids[k]`` is the circle id (into the complex's circle
-    table) that edge k lies on.
+    length.  ``arc_ids[k]`` is the id of the circle (into the complex's
+    circle arrays) that edge k lies on.
     """
 
     depth: int
     refine: int
     n_vm: int  # leading ids are the V_m tangency points
-    arc_ids: list[int]
+    arc_ids: np.ndarray
 
 
 def assemble_arc_fem(
@@ -237,86 +237,51 @@ def assemble_arc_fem(
         cx = build_complex(t, m)
     n_vm = cx.num_vertices_at(m)
 
-    incident: dict[int, list[int]] = {}
-    for vid in range(n_vm):
-        for cid in cx.vertex_pairs[vid]:
-            incident.setdefault(cid, []).append(vid)
-
-    cir = circumscribed_disk(t)
-    points = list(cx.points[:n_vm])
-    ends: list[tuple[int, int]] = []
-    radius: list[float] = []
-    length: list[float] = []
-    arc_ids: list[int] = []
-
-    def _angle(cid, vid):
-        c = cx.circles[cid].disk.center
-        p = cx.points[vid]
-        return math.atan2(p[1] - c[1], p[0] - c[0])
-
-    def _emit(cid, vid_a, vid_b, theta_a, sweep):
-        d = cx.circles[cid].disk
-        dt = sweep / refine
-        prev = vid_a
-        for s in range(1, refine + 1):
-            if s == refine:
-                cur = vid_b
-            else:
-                th = theta_a + s * dt
-                points.append(
-                    (d.center[0] + d.radius * math.cos(th), d.center[1] + d.radius * math.sin(th))
-                )
-                cur = len(points) - 1
-            ends.append((prev, cur))
-            radius.append(d.radius)
-            length.append(d.radius * dt)
-            arc_ids.append(cid)
-            prev = cur
+    # every V_m point lies on the two circles of its pair
+    cid = cx.vertex_pairs[:n_vm].ravel()
+    vid = np.repeat(np.arange(n_vm), 2)
+    theta = _angles(cx.points[vid] - cx.centers[cid])
+    pieces = []  # (circle, first vertex, last vertex, start angle, sweep) per arc piece
 
     # outer arcs: on member j between the root tangency points q_{j+1}, q_{j+2}
     for j in range(3):
-        d = cx.circles[j].disk
-        va, vb = (j + 1) % 3, (j + 2) % 3
-        start, sweep = _pick_arc(
-            d.center, d.radius, _angle(j, va), _angle(j, vb), cir.center, cir.radius
-        )
-        vid_start = va if abs((_angle(j, va) - start) % TWO_PI) < 1e-9 else vb
-        vid_end = vb if vid_start == va else va
-        interior = [v for v in incident.get(j, []) if v not in (va, vb)]
-        interior.sort(key=lambda v: (_angle(j, v) - start) % TWO_PI)
-        chain = [vid_start] + interior + [vid_end]
-        prev_off = 0.0
-        for a_v, b_v in zip(chain[:-1], chain[1:]):
-            off_b = sweep if b_v == vid_end else (_angle(j, b_v) - start) % TWO_PI
-            _emit(j, a_v, b_v, start + prev_off, off_b - prev_off)
-            prev_off = off_b
+        v, th = vid[cid == j], theta[cid == j]
+        start, sweep = _facing_arc(*(th[v == e][0] for e in ((j + 1) % 3, (j + 2) % 3)))
+        off = np.mod(th - start, TWO_PI)  # 0 at the first end, largest at the last
+        order = np.argsort(off, kind="stable")
+        v, off = v[order], off[order]
+        off[-1] = sweep
+        pieces.append((np.full(len(v) - 1, j), v[:-1], v[1:], start + off[:-1], np.diff(off)))
 
-    # inscribed circles created strictly above depth m are full circles
-    for cid in range(3, len(cx.circles)):
-        if len(cx.circles[cid].word) >= m:
-            continue
-        vids = incident.get(cid, [])
-        vids.sort(key=lambda v: _angle(cid, v))
-        k = len(vids)
-        for idx in range(k):
-            a_v = vids[idx]
-            b_v = vids[(idx + 1) % k]
-            th_a = _angle(cid, a_v)
-            sweep = (_angle(cid, b_v) - th_a) % TWO_PI
-            if idx == k - 1 and sweep == 0.0:
-                sweep = TWO_PI
-            _emit(cid, a_v, b_v, th_a, sweep)
+    # inscribed circles created strictly above depth m are full circles,
+    # split at their vertices in angle order
+    keep = (cid >= 3) & (cx.births[cid] < m)
+    c, v, th = cid[keep], vid[keep], theta[keep]
+    order = np.lexsort((v, th, c))
+    c, v, th = c[order], v[order], th[order]
+    nxt = np.arange(1, len(c) + 1)  # the last vertex on a circle wraps to its first
+    nxt[np.flatnonzero(np.diff(c, append=-1))] = np.flatnonzero(np.diff(c, prepend=-1))
+    pieces.append((c, v, v[nxt], th, np.mod(th[nxt] - th, TWO_PI)))
 
-    r, l = np.array(radius), np.array(length)
+    # each piece is split into ``refine`` equal-angle segments; new points
+    # get ids in piece order
+    c, v_a, v_b, th_a, sweep = (np.concatenate(x) for x in zip(*pieces))
+    r, dt = cx.radii[c], sweep / refine
+    th = th_a[:, None] + np.arange(1, refine) * dt[:, None]
+    (x0, y0), rr = cx.centers[c, :, None].transpose(1, 0, 2), r[:, None]
+    new = np.stack((x0 + rr * np.cos(th), y0 + rr * np.sin(th)), axis=-1)
+    new_ids = n_vm + np.arange(th.size).reshape(th.shape)
+    chain = np.column_stack((v_a, new_ids, v_b))
+    radius, length = np.repeat(r, refine), np.repeat(r * dt, refine)
     return ArcNetwork(
-        points=points,
-        edges=np.array(ends, dtype=int).reshape(-1, 2),
-        conductance=r / l,
-        edge_mass=r * l,
+        points=np.concatenate((cx.points[:n_vm], new.reshape(-1, 2))),
+        edges=np.stack((chain[:, :-1], chain[:, 1:]), axis=-1).reshape(-1, 2),
+        conductance=radius / length,
+        edge_mass=radius * length,
         depth=m,
         refine=refine,
         n_vm=n_vm,
-        arc_ids=arc_ids,
+        arc_ids=np.repeat(c, refine),
     )
 
 

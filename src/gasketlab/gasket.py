@@ -8,19 +8,21 @@ by right-multiplication with the integer matrices ``M1``, ``M2``, ``M3``
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExceeded, InsufficientRange, NumericBreakdown
 from .geom import (
     ALG_RTOL,
     DiskTriple,
-    GeneralizedDisk,
     Point,
     circumscribed_disk,
     inscribed_disk,
-    tangency_point,
+    inscribed_disks,
+    tangency_points,
     validate_triple,
 )
 
@@ -75,7 +77,9 @@ def quadruple_at(quad, w: str):
 
 
 def child_quad(quad, letter: str):
-    """Quadruple of the child cell; O(1) closed form of one matrix factor."""
+    """Quadruple of the child cell; O(1) closed form of one matrix factor.
+
+    Elementwise on a quadruple of arrays, as the array builders use it."""
     a, b, c, k = quad
     d_in = a + b + c + 2.0 * k
     if letter == "1":
@@ -110,29 +114,40 @@ def apply_word(t: DiskTriple, w: str) -> DiskTriple:
 # the cell complex: vertices, cells per depth, circles
 
 
-@dataclass(frozen=True)
-class Cell:
-    word: str
-    vertex_ids: tuple[int, int, int]  # q1, q2, q3 of the cell
-    quad: tuple[float, float, float, float]
-    circle_ids: tuple[int, int, int]  # member circles in slot order
-    area: float  # center triangle area, nan for half-plane triples
-    inscribed_circle: int  # circle id of the inscribed disk, -1 at max depth
+def _cells_above(j: int) -> int:
+    """Number of cells of depth below j."""
+    return (3**j - 1) // 2
 
 
-@dataclass(frozen=True)
-class CircleRecord:
-    kind: str  # "outer" or "inscribed"
-    disk: GeneralizedDisk
-    word: str  # creating cell for inscribed circles, "" for outer members
+# vertex slots of child j: it keeps the parent's q_j, and its other two slots
+# take the parent's new points p_s (where the inscribed disk touches member s);
+# entries index (q1, q2, q3, p1, p2, p3)
+_CHILD_VERTICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 
 
 class GasketComplex:
     """Vertices, cells and circles of a gasket truncated at a fixed depth.
 
-    Vertex ids are assigned in creation order, so the first ``3 + 3*(3^m-1)/2``
-    ids are exactly the depth-m vertex set V_m for every m up to the build
-    depth.  Each vertex records the pair of circles it is tangent on.
+    Everything is stored as arrays, built one depth (generation) at a time.
+    The 3^j cells of depth j are in lexicographic word order: cell i's word
+    is i written in base 3 with j digits (digit d read as letter d+1), and its
+    children are cells 3i, 3i+1, 3i+2 of depth j+1.  Per depth j:
+
+    * ``quads[j]`` (3^j, 4): curvature quadruples;
+    * ``vertex_ids[j]`` (3^j, 3): tangency points q1, q2, q3 of each cell;
+    * ``circle_ids[j]`` (3^j, 3): member circles in slot order;
+    * ``areas[j]`` (3^j,): center triangle areas, nan with a half-plane member.
+
+    ``points`` (nV, 2) holds the vertices and ``vertex_pairs`` (nV, 2) the
+    two circles each is tangent on.  Ids 0-2 are the root tangency points;
+    the tangency point of cell i's inscribed disk with its member s, at depth
+    j, has id 3 + 3(3^j - 1)/2 + 3i + s.  So the first 3 + 3(3^m - 1)/2 ids
+    are exactly the depth-m vertex set V_m.
+
+    ``centers`` (nC, 2), ``radii``, ``curvatures`` and ``births`` (nC,)
+    describe the circles.  Ids 0-2 are the root members (birth -1; a
+    half-plane has radius inf and center nan); the inscribed disk of cell i
+    at depth j < depth has id 3 + (3^j - 1)/2 + i and birth j.
     """
 
     def __init__(self, root: DiskTriple, depth: int):
@@ -140,93 +155,70 @@ class GasketComplex:
             raise ValueError("depth must be nonnegative")
         self.root = root
         self.depth = depth
-        self.points: list[Point] = []
-        self.vertex_pairs: list[tuple[int, int]] = []
-        self.circles: list[CircleRecord] = []
-        self.cells_by_depth: list[list[Cell]] = [[] for _ in range(depth + 1)]
-        self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _add_vertex(self, p: Point, pair: tuple[int, int]) -> int:
-        self.points.append(p)
-        self.vertex_pairs.append(pair)
-        return len(self.points) - 1
-
-    def _build(self):
-        # breadth-first in lexicographic word order, so vertex ids come out
-        # grouped by birth level: ids below 3 + 3*(3^m - 1)/2 are exactly V_m
-        root = self.root
-        for j, d in enumerate(root.disks):
-            self.circles.append(CircleRecord("outer", d, ""))
-        q_ids = tuple(
-            self._add_vertex(root.q[j], ((j + 1) % 3, (j + 2) % 3)) for j in range(3)
-        )
-        frontier = [("", root.disks, (0, 1, 2), q_ids, root.quad, _child_area(root.disks))]
+        n_circles = 3 + _cells_above(depth)
+        self.centers = np.full((n_circles, 2), np.nan)
+        self.radii = np.full(n_circles, np.inf)
+        self.curvatures = np.empty(n_circles)
+        self.births = np.full(n_circles, -1)
+        self.points = np.empty((self.num_vertices_at(depth), 2))
+        self.vertex_pairs = np.empty((len(self.points), 2), dtype=int)
+        self.quads, self.vertex_ids, self.circle_ids, self.areas = [], [], [], []
+        halfplane = None
+        for j, d in enumerate(self.root.disks):
+            self.curvatures[j] = d.curvature
+            if d.is_disk:
+                self.centers[j], self.radii[j] = d.center, d.radius
+            else:
+                halfplane = (d.normal, d.offset)
+        self.points[:3] = self.root.q
+        self.vertex_pairs[:3] = ((1, 2), (2, 0), (0, 1))
+        quads = np.array([self.root.quad])
+        vids, cids = np.array([[0, 1, 2]]), np.array([[0, 1, 2]])
         for level in range(self.depth + 1):
-            next_frontier = []
-            for word, disks, cids, qids, quad, area in frontier:
-                q_pts = tuple(self.points[i] for i in qids)
-                d_in = inscribed_disk(_quick_triple(disks, q_pts, quad))
-                if level == self.depth:
-                    self.cells_by_depth[level].append(Cell(word, qids, quad, cids, area, -1))
-                    continue
-                cid_in = len(self.circles)
-                self.circles.append(CircleRecord("inscribed", d_in, word))
-                self.cells_by_depth[level].append(
-                    Cell(word, qids, quad, cids, area, cid_in)
-                )
-                p_ids = tuple(
-                    self._add_vertex(tangency_point(d_in, disks[j]), (cids[j], cid_in))
-                    for j in range(3)
-                )
-                child_members = (
-                    ((d_in, disks[1], disks[2]), (cid_in, cids[1], cids[2]),
-                     (qids[0], p_ids[2], p_ids[1])),
-                    ((disks[0], d_in, disks[2]), (cids[0], cid_in, cids[2]),
-                     (p_ids[2], qids[1], p_ids[0])),
-                    ((disks[0], disks[1], d_in), (cids[0], cids[1], cid_in),
-                     (p_ids[1], p_ids[0], qids[2])),
-                )
-                for j in range(3):
-                    cdisks, ccids, cqids = child_members[j]
-                    next_frontier.append(
-                        (
-                            word + LETTERS[j],
-                            cdisks,
-                            ccids,
-                            cqids,
-                            child_quad(quad, LETTERS[j]),
-                            _child_area(cdisks),
-                        )
-                    )
-            frontier = next_frontier
-
-    # -- queries -----------------------------------------------------------
+            centers, radii = self.centers[cids], self.radii[cids]
+            (x1, y1), (x2, y2), (x3, y3) = centers.transpose(1, 2, 0)
+            self.quads.append(quads)
+            self.vertex_ids.append(vids)
+            self.circle_ids.append(cids)
+            self.areas.append(0.5 * np.abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)))
+            # the deepest inscribed disks are checked but not stored
+            z, r_in, k_in = inscribed_disks(quads, centers, radii, halfplane)
+            if level == self.depth:
+                break
+            n = len(quads)
+            cid_in = 3 + _cells_above(level) + np.arange(n)
+            self.centers[cid_in], self.radii[cid_in] = z, r_in
+            self.curvatures[cid_in], self.births[cid_in] = k_in, level
+            pid = 3 + 3 * _cells_above(level) + np.arange(3 * n).reshape(n, 3)
+            self.points[pid] = tangency_points(z, r_in, centers, radii, halfplane)
+            self.vertex_pairs[pid] = np.stack((cids, np.repeat(cid_in[:, None], 3, 1)), -1)
+            # child j replaces member j by the inscribed disk (``child_quad``)
+            quads = np.hstack([np.column_stack(child_quad(quads.T, j)) for j in LETTERS])
+            quads = quads.reshape(-1, 4)
+            cids = np.repeat(cids[:, None, :], 3, axis=1)
+            cids[:, [0, 1, 2], [0, 1, 2]] = cid_in[:, None]
+            cids = cids.reshape(-1, 3)
+            vids = np.concatenate((vids, pid), axis=1)[:, _CHILD_VERTICES].reshape(-1, 3)
 
     def num_vertices_at(self, m: int) -> int:
-        if m >= self.depth:
-            return len(self.points)
-        return 3 + 3 * (3**m - 1) // 2
-
-    def cells(self, m: int) -> list[Cell]:
-        return self.cells_by_depth[m]
-
-
-def _child_area(disks) -> float:
-    if not all(d.is_disk for d in disks):
-        return math.nan
-    (x1, y1), (x2, y2), (x3, y3) = (d.center for d in disks)
-    return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
-
-
-def _quick_triple(disks, q, quad) -> DiskTriple:
-    # internal fast path: members come pre-validated from the recursion
-    return DiskTriple(disks=tuple(disks), q=q, quad=quad)
+        return 3 + 3 * _cells_above(min(m, self.depth))
 
 
 def build_complex(t: DiskTriple, depth: int) -> GasketComplex:
     return GasketComplex(t, depth)
+
+
+def cell_words(j: int) -> list[str]:
+    """Words of the depth-j cells, in array order."""
+    return ["".join(w) for w in itertools.product(LETTERS, repeat=j)]
+
+
+_DIGITS = str.maketrans(LETTERS, "012")
+
+
+def word_index(w: str) -> int:
+    """Position of cell ``w`` in the arrays of depth len(w)."""
+    return int(check_word(w).translate(_DIGITS) or "0", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +226,32 @@ def build_complex(t: DiskTriple, depth: int) -> GasketComplex:
 
 
 def count_profile(t: DiskTriple, grid, cap: int = 10**8):
-    """Counting function N(lam) on a sorted grid, from a single pruned DFS."""
+    """Counting function N(lam) on a sorted grid: the number of inscribed
+    circles with curvature at most lam.
+
+    The cells whose inscribed curvature is at most max(grid) form a subtree
+    of the cell tree (a child's inscribed disk curves more than its parent's,
+    and a pruned cell is never expanded).  That subtree is walked one level
+    at a time on arrays: each level is the children of the cells the level
+    above kept.  Every kept cell is counted once, whatever the traversal, and
+    ``BudgetExceeded`` is raised after the first level that takes the total
+    above ``cap``, that is, exactly when the subtree has more than ``cap``
+    cells.
+    """
     grid = sorted(float(x) for x in grid)
-    lam_max = grid[-1]
-    hist = [0] * len(grid)
+    hist = np.zeros(len(grid), dtype=np.int64)
     total = 0
-    stack = [t.quad]
-    while stack:
-        a, b, c, k = stack.pop()
-        cin = a + b + c + 2.0 * k
-        if cin > lam_max:
-            continue
-        hist[bisect_left(grid, cin)] += 1
-        total += 1
+    quads = tuple(np.array([x], dtype=float) for x in t.quad)
+    while len(quads[0]):
+        cin = inscribed_curvature(quads)
+        keep = cin <= grid[-1]
+        quads, cin = tuple(x[keep] for x in quads), cin[keep]
+        total += len(cin)
         if total > cap:
             raise BudgetExceeded(f"count exceeded cap {cap}")
-        stack.append((cin, b, c, k + b + c))
-        stack.append((a, cin, c, k + a + c))
-        stack.append((a, b, cin, k + a + b))
-    counts = []
-    acc = 0
-    for h in hist:
-        acc += h
-        counts.append(acc)
-    return list(zip(grid, counts))
+        hist += np.bincount(np.searchsorted(grid, cin, side="left"), minlength=len(grid))
+        quads = tuple(np.concatenate(x) for x in zip(*(child_quad(quads, j) for j in LETTERS)))
+    return list(zip(grid, np.cumsum(hist).tolist()))
 
 
 def geometric_grid(lo: float, hi: float, n: int):
@@ -323,31 +317,22 @@ def render_svg(t: DiskTriple, depth: int, size: int = 800, stroke: str = "#1a1a1
     from .svg import circles_svg
 
     cx = build_complex(t, depth + 1)
-    circles = [
-        (d.disk.center[0], d.disk.center[1], d.disk.radius)
-        for d in cx.circles
-        if d.disk.is_disk
-    ]
+    disks = np.isfinite(cx.radii)
+    circles = zip(*cx.centers[disks].T.tolist(), cx.radii[disks].tolist())
     return circles_svg(circles, size=size, stroke=stroke, stroke_width=stroke_width)
 
 
 def cells_to_json(t: DiskTriple, depth: int) -> list[dict]:
     """Cell records (word, quadruple, inscribed disk) for interchange."""
-    from .geom import disk_to_json
-
     cx = build_complex(t, depth + 1)
-    out = []
-    for level in range(depth + 1):
-        for cell in cx.cells(level):
-            rec = cx.circles[cell.inscribed_circle]
-            out.append(
-                {
-                    "word": cell.word,
-                    "quad": list(cell.quad),
-                    "inscribed": disk_to_json(rec.disk),
-                }
-            )
-    return out
+    words = [w for j in range(depth + 1) for w in cell_words(j)]
+    # the inscribed disks of the cells in word order are circles 3, 4, ...
+    disks = slice(3, 3 + len(words))
+    return [
+        {"word": w, "quad": q, "inscribed": {"type": "disk", "center": c, "radius": r}}
+        for w, q, c, r in zip(words, np.concatenate(cx.quads[: depth + 1]).tolist(),
+                              cx.centers[disks].tolist(), cx.radii[disks].tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +369,7 @@ def audit_vertex_dedupe(cx: GasketComplex) -> int:
     tol = 1e-9 * 2.0 * circumscribed_disk(cx.root).radius
     grid: dict[tuple[int, int], list[int]] = {}
     kept: list[Point] = []
-    for x, y in cx.points:
+    for x, y in cx.points.tolist():
         ix, iy = round(x / tol), round(y / tol)
         found = None
         for nx in (ix - 1, ix, ix + 1):

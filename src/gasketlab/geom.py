@@ -116,24 +116,44 @@ def tangency_point(d1: GeneralizedDisk, d2: GeneralizedDisk, rtol: float = GEOM_
     """Unique common boundary point of two externally tangent members."""
     if not d1.is_disk and not d2.is_disk:
         raise TwoHalfPlanes("tangency point of two half-planes is not defined")
-    if d1.is_disk and d2.is_disk:
-        (x1, y1), r1 = d1.center, d1.radius
-        (x2, y2), r2 = d2.center, d2.radius
-        dist = math.hypot(x2 - x1, y2 - y1)
-        ambient = abs(x1) + abs(y1) + abs(x2) + abs(y2) + r1 + r2
-        if abs(dist - (r1 + r2)) > rtol * max(r1, r2) + _AMBIENT_EPS * ambient:
-            raise NotTangent(f"boundary gap {dist - (r1 + r2):.3e} exceeds tolerance")
-        s = 1.0 / (r1 + r2)
-        return ((r2 * x1 + r1 * x2) * s, (r2 * y1 + r1 * y2) * s)
-    if d2.is_disk:
+    if not d1.is_disk:
         d1, d2 = d2, d1
-    (cx, cy), r = d1.center, d1.radius
-    nx, ny = d2.normal
-    signed = cx * nx + cy * ny - d2.offset
-    ambient = abs(cx) + abs(cy) + abs(d2.offset) + r
-    if abs(signed - r) > rtol * r + _AMBIENT_EPS * ambient:
-        raise NotTangent(f"disk/half-plane gap {signed - r:.3e} exceeds tolerance")
-    return (cx - r * nx, cy - r * ny)
+    hp = None if d2.is_disk else (d2.normal, d2.offset)
+    c2, r2 = (d2.center, d2.radius) if d2.is_disk else ((math.nan, math.nan), math.inf)
+    p = tangency_points(
+        np.array([d1.center]), np.array([d1.radius]), np.array([[c2]]), np.array([[r2]]), hp, rtol
+    )
+    return tuple(p[0, 0].tolist())
+
+
+def tangency_points(z, r, centers, radii, halfplane=None, rtol: float = GEOM_RTOL):
+    """Points (n, k, 2) where the disks of centers ``z`` (n, 2) and radii
+    ``r`` (n,) touch their members (``centers`` (n, k, 2), ``radii`` (n, k)).
+
+    A half-plane member has radius inf and center nan, and ``halfplane`` =
+    (normal, offset) describes it.  ``NotTangent`` is raised if any pair's
+    boundary gap exceeds ``rtol`` times the larger radius plus the ambient
+    roundoff of the coordinates.
+    """
+    hp = np.isinf(radii)
+    x1, y1, r1 = z[:, :1], z[:, 1:], r[:, None]
+    x2, y2, r2 = centers[..., 0], centers[..., 1], np.where(hp, np.nan, radii)
+    gap = np.hypot(x2 - x1, y2 - y1) - (r1 + r2)
+    tol = rtol * np.maximum(r1, r2) + _AMBIENT_EPS * (
+        np.abs(x1) + np.abs(y1) + np.abs(x2) + np.abs(y2) + r1 + r2
+    )
+    s = 1.0 / (r1 + r2)
+    px, py = (r2 * x1 + r1 * x2) * s, (r2 * y1 + r1 * y2) * s
+    if halfplane is not None:
+        (nx, ny), off = halfplane
+        gap = np.where(hp, x1 * nx + y1 * ny - off - r1, gap)
+        ambient = np.abs(x1) + np.abs(y1) + abs(off) + r1
+        tol = np.where(hp, rtol * r1 + _AMBIENT_EPS * ambient, tol)
+        px, py = np.where(hp, x1 - r1 * nx, px), np.where(hp, y1 - r1 * ny, py)
+    bad = np.abs(gap) > tol
+    if np.any(bad):
+        raise NotTangent(f"boundary gap {gap[bad][0]:.3e} exceeds tolerance")
+    return np.stack((px, py), axis=-1)
 
 
 def _signed_area(p1: Point, p2: Point, p3: Point) -> float:
@@ -212,70 +232,86 @@ def circumscribed_disk(t: DiskTriple) -> GeneralizedDisk:
 
 
 def inscribed_disk(t: DiskTriple, residual_rtol: float = 1e-6) -> GeneralizedDisk:
-    """Disk inside the ideal triangle tangent to all three members.
+    """Disk inside the ideal triangle tangent to all three members (one row
+    of ``inscribed_disks``)."""
+    hp = next(((d.normal, d.offset) for d in t.disks if not d.is_disk), None)
+    centers = [d.center if d.is_disk else (math.nan, math.nan) for d in t.disks]
+    radii = [d.radius if d.is_disk else math.inf for d in t.disks]
+    z, r, k = inscribed_disks(
+        np.array([t.quad]), np.array([centers]), np.array([radii]), hp, residual_rtol
+    )
+    return GeneralizedDisk(curvature=float(k[0]), center=tuple(z[0].tolist()), radius=float(r[0]))
 
-    The curvature is alpha + beta + gamma + 2 kappa.  The center comes from
-    the linear system obtained by differencing the tangency constraints
-    (trilateration); the complex Descartes relation is used as a residual
-    cross-check when all members are disks.
+
+def inscribed_disks(quads, centers, radii, halfplane=None, residual_rtol: float = 1e-6):
+    """Inscribed disks of n triples at once: centers (n, 2), radii and curvatures.
+
+    ``quads`` (n, 4) are the curvature quadruples and ``centers`` (n, 3, 2),
+    ``radii`` (n, 3) the members in slot order.  A half-plane member has
+    radius inf and center nan; ``halfplane`` = (normal, offset) describes it
+    (a call has at most one).  The curvature is alpha + beta + gamma + 2 kappa.
+    The center comes from the linear system obtained by differencing the
+    tangency constraints (trilateration), in coordinates local to the
+    smallest member disk: differencing squared global coordinates would
+    cancel catastrophically deep in the gasket, and the smallest center is
+    the one nearest the solution.  Each row is computed in the operation
+    order of the one-triple construction, so the bits do not depend on n.
+    ``NumericBreakdown`` is raised if any row fails its tangency residual or,
+    for bounded triples, the complex Descartes cross-check.
     """
-    a, b, c, kappa = t.quad
+    a, b, c, kappa = quads.T
     k_in = a + b + c + 2.0 * kappa
     r_in = 1.0 / k_in
+    idx = np.arange(len(k_in))
+    i0 = np.argmin(radii, axis=1)  # first of equal radii, like min()
+    ox, oy = centers[idx, i0].T
+    r0 = radii[idx, i0]
 
-    # work in coordinates local to the smallest member disk: differencing
-    # squared global coordinates would cancel catastrophically deep in the
-    # gasket, and the smallest center is the one nearest the solution
-    disk_slots = [j for j in range(3) if t.disks[j].is_disk]
-    i0 = min(disk_slots, key=lambda j: t.disks[j].radius)
-    disk_slots.remove(i0)
-    disk_slots.insert(0, i0)
-    (ox, oy), r0 = t.disks[i0].center, t.disks[i0].radius
+    def disk_row(j):
+        dx, dy = centers[idx, j, 0] - ox, centers[idx, j, 1] - oy
+        rj = radii[idx, j]
+        return 2.0 * dx, 2.0 * dy, dx * dx + dy * dy + (r_in + r0) ** 2 - (r_in + rj) ** 2
 
-    rows = []
-    rhs = []
-    for j in range(3):
-        if not t.disks[j].is_disk:
-            nx, ny = t.disks[j].normal
-            rows.append((nx, ny))
-            rhs.append(t.disks[j].offset + r_in - (ox * nx + oy * ny))
-    for j in disk_slots[1:]:
-        (xj, yj), rj = t.disks[j].center, t.disks[j].radius
-        dx, dy = xj - ox, yj - oy
-        rows.append((2.0 * dx, 2.0 * dy))
-        rhs.append(dx * dx + dy * dy + (r_in + r0) ** 2 - (r_in + rj) ** 2)
-        if len(rows) == 2:
-            break
-    (a11, a12), (a21, a22) = rows[0], rows[1]
+    # the other two slots in increasing order give the two rows
+    j1, j2 = np.where(i0 == 0, 1, 0), np.where(i0 == 2, 1, 2)
+    (a11, a12, b1), (a21, a22, b2) = disk_row(j1), disk_row(j2)
+    is_hp = np.isinf(radii)
+    hp = is_hp.any(axis=1)  # slot i0 is never the half-plane
+    if halfplane is not None:
+        # the half-plane row comes first, the remaining disk row second
+        (nx, ny), off = halfplane
+        hp2 = is_hp[idx, j2]
+        a21, a22, b2 = (np.where(hp2, u, v) for u, v in ((a11, a21), (a12, a22), (b1, b2)))
+        a11, a12 = np.where(hp, nx, a11), np.where(hp, ny, a12)
+        b1 = np.where(hp, off + r_in - (ox * nx + oy * ny), b1)
     det = a11 * a22 - a12 * a21
-    if det == 0.0:
+    if np.any(det == 0.0):
         raise NumericBreakdown("trilateration system is singular")
-    ux = (rhs[0] * a22 - rhs[1] * a12) / det
-    uy = (a11 * rhs[1] - a21 * rhs[0]) / det
+    ux = (b1 * a22 - b2 * a12) / det
+    uy = (a11 * b2 - a21 * b1) / det
     zx, zy = ox + ux, oy + uy
 
-    for j in range(3):
-        dj = t.disks[j]
-        if dj.is_disk:
-            resid = math.hypot(
-                ux - (dj.center[0] - ox), uy - (dj.center[1] - oy)
-            ) - (r_in + dj.radius)
-        else:
-            resid = (zx * dj.normal[0] + zy * dj.normal[1] - dj.offset) - r_in
-        if abs(resid) > residual_rtol * r_in + _AMBIENT_EPS * (abs(ox) + abs(oy) + 1.0):
-            raise NumericBreakdown(f"tangency residual {resid:.3e} exceeds {residual_rtol:g}*r_in")
+    tol = residual_rtol * r_in + _AMBIENT_EPS * (np.abs(ox) + np.abs(oy) + 1.0)
+    dx, dy = centers[..., 0] - ox[:, None], centers[..., 1] - oy[:, None]
+    resid = np.hypot(ux[:, None] - dx, uy[:, None] - dy) - (r_in[:, None] + radii)
+    if halfplane is not None:
+        hp_resid = (zx * nx + zy * ny - off) - r_in
+        resid = np.where(is_hp, hp_resid[:, None], resid)
+    bad = np.abs(resid) > tol[:, None]
+    if np.any(bad):
+        raise NumericBreakdown(
+            f"tangency residual {resid[bad][0]:.3e} exceeds {residual_rtol:g}*r_in"
+        )
 
-    if t.is_bounded:
-        o = complex(ox, oy)
-        z1, z2, z3 = (complex(*d.center) - o for d in t.disks)
-        root = cmath.sqrt(a * b * z1 * z2 + b * c * z2 * z3 + c * a * z3 * z1)
-        base = a * z1 + b * z2 + c * z3
-        z_loc = complex(ux, uy)
-        err = min(abs((base + 2 * root) / k_in - z_loc), abs((base - 2 * root) / k_in - z_loc))
-        if err > residual_rtol * r_in + _AMBIENT_EPS * (abs(ox) + abs(oy) + 1.0):
-            raise NumericBreakdown(f"Descartes cross-check off by {err:.3e}")
-
-    return GeneralizedDisk(curvature=k_in, center=(zx, zy), radius=r_in)
+    z1, z2, z3 = (dx + 1j * dy).T
+    root = np.sqrt(a * b * z1 * z2 + b * c * z2 * z3 + c * a * z3 * z1)
+    base = a * z1 + b * z2 + c * z3
+    z_loc = ux + 1j * uy
+    err = np.minimum(abs((base + 2 * root) / k_in - z_loc), abs((base - 2 * root) / k_in - z_loc))
+    bad = (err > tol) & ~hp
+    if np.any(bad):
+        raise NumericBreakdown(f"Descartes cross-check off by {err[bad][0]:.3e}")
+    return np.column_stack((zx, zy)), r_in, k_in
 
 
 def triangle_area(t: DiskTriple) -> float:

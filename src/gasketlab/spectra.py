@@ -29,7 +29,7 @@ from .errors import (
     NotConverged,
 )
 from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form
-from .gasket import apply_word, build_complex, index_set_I
+from .gasket import apply_word, build_complex, index_set_I, word_index
 from .geom import DiskTriple, transform_triple
 
 DENSE_THRESHOLD = 3000
@@ -259,7 +259,10 @@ def _place_bounds(A: sp.csr_matrix, k: int, top: float) -> list[tuple[float, int
     and, last, k + 1.  Each bound is the lowest counted shift whose count
     reaches its target; the bracket between the nearest counted shifts is split
     until that count is at most ``step // 8`` above the target, or the bracket
-    is too narrow (1e-4 relative) to hold a moved split point.  The bracket
+    is too narrow (1e-4 relative) to hold a moved split point, or a split
+    point cannot be counted even after its moves (it lies in the roundoff
+    band of a cluster, such as the zero modes of a disconnected pencil): the
+    slice then keeps the larger count of the nearest bound above.  The bracket
     starts as [-1e-12 top, top]: the pencil is semidefinite and ``top``
     bounds the spectrum; ``top`` is counted too, so every bound is a counted
     shift.  Returns (bound, count, moves) per target.
@@ -277,8 +280,11 @@ def _place_bounds(A: sp.csr_matrix, k: int, top: float) -> list[tuple[float, int
             if count <= target + step // 8 or hi - lo <= width * hi:
                 break
             moves = []
-            insort(counted, (*_clear_count(A, _split(lo, hi), moves), moves),
-                   key=lambda e: e[0])
+            try:
+                entry = (*_clear_count(A, _split(lo, hi), moves), moves)
+            except NotConverged:  # the split lies in the roundoff band of a cluster
+                break
+            insort(counted, entry, key=lambda e: e[0])
         placed.append(counted[j])
     return placed
 
@@ -538,8 +544,8 @@ class CensusReport:
 
 def _census_vertex_ids(cx, truncation: int) -> list[int]:
     """Sorted distinct vertex ids of the census cells of ``truncation`` in ``cx``."""
-    cells = {cell.word: cell for d in range(truncation + 1) for cell in cx.cells(d)}
-    return sorted({v for w in census_index_set(truncation) for v in cells[w].vertex_ids})
+    words = census_index_set(truncation)
+    return sorted({v for w in words for v in cx.vertex_ids[len(w)][word_index(w)].tolist()})
 
 
 def census_vertices(t: DiskTriple, n: int):

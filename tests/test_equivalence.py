@@ -1,0 +1,144 @@
+"""The array-at-a-time complex, arc network and circle count against the
+per-item reference implementations in ``legacy.py``, bit for bit."""
+
+import numpy as np
+import pytest
+
+import legacy
+from gasketlab import forms, gasket, geom
+from gasketlab.errors import BudgetExceeded
+
+TRIPLES = {
+    "unit": geom.triple_from_curvatures(1.0, 1.0, 1.0),
+    "1,2,3": geom.triple_from_curvatures(1.0, 2.0, 3.0),
+    "halfplane": geom.transform_triple(
+        geom.triple_with_halfplane(2.0, 0.7), rotate=0.3, translate=(1.0, -2.0)
+    ),
+}
+
+
+def same_bits(new, old) -> bool:
+    """Equal arrays, nan where nan, and equal sign bits (so -0.0 != 0.0)."""
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    return (
+        new.shape == old.shape
+        and np.array_equal(new, old, equal_nan=True)
+        and np.array_equal(np.signbit(new), np.signbit(old))
+    )
+
+
+@pytest.fixture(scope="module", params=list(TRIPLES))
+def complexes(request):
+    t = TRIPLES[request.param]
+    return t, gasket.build_complex(t, 6), legacy.LegacyComplex(t, 6)
+
+
+def test_complex_matches_per_cell_builder(complexes):
+    _, cx, old = complexes
+    assert same_bits(cx.points, old.points)
+    assert np.array_equal(cx.vertex_pairs, old.vertex_pairs)
+    disks = [c.disk for c in old.circles]
+    assert same_bits(cx.centers, [d.center if d.is_disk else (np.nan, np.nan) for d in disks])
+    assert same_bits(cx.radii, [d.radius if d.is_disk else np.inf for d in disks])
+    assert same_bits(cx.curvatures, [d.curvature for d in disks])
+    assert np.array_equal(cx.births, [len(c.word) if c.kind == "inscribed" else -1
+                                      for c in old.circles])
+    for j in range(7):
+        cells = old.cells(j)
+        assert same_bits(cx.quads[j], [c.quad for c in cells])
+        assert same_bits(cx.areas[j], [c.area for c in cells])
+        assert np.array_equal(cx.vertex_ids[j], [c.vertex_ids for c in cells])
+        assert np.array_equal(cx.circle_ids[j], [c.circle_ids for c in cells])
+        assert gasket.cell_words(j) == [c.word for c in cells]
+        assert [gasket.word_index(c.word) for c in cells] == list(range(3**j))
+
+
+@pytest.mark.parametrize("m", [0, 2, 4])
+def test_shallow_complex_is_a_prefix(complexes, m):
+    # a depth-m build equals the first levels and ids of a deeper one
+    t, cx, _ = complexes
+    small = gasket.build_complex(t, m)
+    n = small.num_vertices_at(m)
+    assert same_bits(small.points, cx.points[:n])
+    assert same_bits(small.centers, cx.centers[: len(small.centers)])
+    for j in range(m + 1):
+        assert same_bits(small.quads[j], cx.quads[j])
+        assert np.array_equal(small.vertex_ids[j], cx.vertex_ids[j])
+
+
+@pytest.mark.parametrize("name", ["unit", "1,2,3"])
+@pytest.mark.parametrize("refine", [1, 3])
+def test_arc_network_matches_dict_assembly(name, refine):
+    t = TRIPLES[name]
+    cx, old = gasket.build_complex(t, 5), legacy.LegacyComplex(t, 5)
+    for m in range(6):
+        net = forms.assemble_arc_fem(t, m, refine, cx)
+        points, edges, conductance, mass, arc_ids = legacy.assemble_arc_fem(t, m, refine, old)
+        assert same_bits(net.points, points)
+        assert np.array_equal(net.edges, edges)
+        assert same_bits(net.conductance, conductance)
+        assert same_bits(net.edge_mass, mass)
+        assert np.array_equal(net.arc_ids, arc_ids)
+
+
+@pytest.mark.parametrize("name", ["unit", "1,2,3"])
+def test_arclen_lengths_match_circumcircle_selection(name):
+    # the shorter arc is the one whose midpoint lies in the cell's circumdisk
+    t = TRIPLES[name]
+    cx, old = gasket.build_complex(t, 5), legacy.LegacyComplex(t, 5)
+    for m in range(6):
+        expected = [legacy.cell_arc_lengths(old, cell) for cell in old.cells(m)]
+        assert same_bits(forms._cell_arc_lengths(cx, m), expected)
+
+
+@pytest.mark.parametrize("name", list(TRIPLES))
+def test_count_profile_matches_dfs(name):
+    t = TRIPLES[name]
+    c0 = gasket.inscribed_curvature(t.quad)
+    for top in (30.0, 1e3, 3e4):
+        grid = gasket.geometric_grid(c0, top * c0, 17) + [c0, 5.0 * c0]  # ties and repeats
+        assert gasket.count_profile(t, grid) == legacy.count_profile(t, grid)
+
+
+def test_count_budget_matches_dfs():
+    # both raise exactly when the pruned tree holds more than cap cells
+    t = TRIPLES["1,2,3"]
+    grid = [500.0]
+    total = legacy.count_profile(t, grid)[0][1]
+    assert gasket.count_profile(t, grid, cap=total) == [(500.0, total)]
+    for count in (gasket.count_profile, legacy.count_profile):
+        with pytest.raises(BudgetExceeded):
+            count(t, grid, cap=total - 1)
+
+
+def test_inscribed_disks_rows_match_scalar(rng):
+    triples = [geom.transform_triple(
+        geom.triple_from_curvatures(*(10.0 ** rng.uniform(-2, 2, 3))),
+        scale=float(rng.uniform(0.1, 10.0)), rotate=float(rng.uniform(0.0, 6.3)),
+        translate=tuple(rng.uniform(-50.0, 50.0, 2)),
+    ) for _ in range(200)]
+    z, r, k = geom.inscribed_disks(
+        np.array([t.quad for t in triples]),
+        np.array([[d.center for d in t.disks] for t in triples]),
+        np.array([[d.radius for d in t.disks] for t in triples]),
+    )
+    old = [legacy.inscribed_disk(t) for t in triples]
+    assert same_bits(z, [d.center for d in old])
+    assert same_bits(r, [d.radius for d in old])
+    assert same_bits(k, [d.curvature for d in old])
+    for t, d in zip(triples, old):
+        assert geom.inscribed_disk(t) == d
+
+
+def test_tangency_point_matches_scalar(rng):
+    # disk pairs in both orders and disk/half-plane pairs in both orders
+    for t in [geom.transform_triple(
+        geom.triple_from_curvatures(*(10.0 ** rng.uniform(-2, 2, 3))),
+        scale=float(rng.uniform(0.1, 10.0)), rotate=float(rng.uniform(0.0, 6.3)),
+        translate=tuple(rng.uniform(-50.0, 50.0, 2)),
+    ) for _ in range(50)] + [TRIPLES["halfplane"], geom.triple_with_halfplane(1.0, 3.0)]:
+        for i in range(3):
+            for j in range(3):
+                if i != j:
+                    d1, d2 = t.disks[i], t.disks[j]
+                    assert geom.tangency_point(d1, d2) == legacy.tangency_point(d1, d2)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_triple
 from gasketlab import forms, gasket, geom
-from gasketlab.errors import HalfPlanePresent
+from gasketlab.errors import HalfPlanePresent, QuadratureUnstable
 
 SQRT3 = math.sqrt(3.0)
 
@@ -130,7 +130,7 @@ def test_mass_mu_totals_increase_to_limit(unit_triple):
 
 
 def _arc_radii(net, cx):
-    return np.array([cx.circles[cid].disk.radius for cid in net.arc_ids])
+    return cx.radii[net.arc_ids]
 
 
 def test_arc_fem_m1_counts(unit_triple):
@@ -185,13 +185,13 @@ def test_arc_fem_edges_lie_on_their_arcs(unit_triple):
     net = forms.assemble_arc_fem(unit_triple, 3, 3, cx)
     assert len(net.arc_ids) == len(net.edges)
     for (i, j), c, mass, cid in zip(net.edges, net.conductance, net.edge_mass, net.arc_ids):
-        d = cx.circles[cid].disk
+        (cx0, cy0), radius = cx.centers[cid], cx.radii[cid]
         # conductance rad/len times mass rad*len is the radius squared
-        assert abs(c * mass - d.radius**2) < 1e-14 * d.radius**2
+        assert abs(c * mass - radius**2) < 1e-14 * radius**2
         for vid in (i, j):
             x, y = net.points[vid]
-            dist = math.hypot(x - d.center[0], y - d.center[1])
-            assert abs(dist - d.radius) < 1e-9 * d.radius
+            dist = math.hypot(x - cx0, y - cy0)
+            assert abs(dist - radius) < 1e-9 * radius
 
 
 def _loop_stiffness(net):
@@ -323,6 +323,16 @@ def test_sector_check_random_sweep(rng):
         a = float(rng.uniform(u.min(), u.max()))
         rep = forms.sector_extension_check(f, a)
         assert rep.w12_ok and all(rep.l2_ok.values())
+
+
+def test_sector_check_unstable_quadrature():
+    # the ten doublings settle the quadrature to about 1e-9 relative here,
+    # so a 1e-15 stability tolerance cannot be met
+    f = forms.sample_arc_function((0.0, 0.0), 1.0, 0.0, math.pi / 2, lambda x, y: y, n=128)
+    rep = forms.sector_extension_check(f, a=rep_mean(f))
+    assert 1e-15 < rep.quad_rel_change <= 1e-4
+    with pytest.raises(QuadratureUnstable, match="still changing"):
+        forms.sector_extension_check(f, a=rep_mean(f), stability_tol=1e-15)
 
 
 def test_sector_check_requires_a_in_range():

@@ -1,11 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_triple
 from gasketlab import gasket, geom
-from gasketlab.errors import BudgetExceeded, InsufficientRange
+from gasketlab.errors import BudgetExceeded, InsufficientRange, NumericBreakdown
 
 SQRT3 = math.sqrt(3.0)
 
@@ -202,7 +203,7 @@ def test_vertex_counts(unit_triple):
     assert cx.num_vertices_at(2) == 15
     assert cx.num_vertices_at(3) == 42
     assert len(cx.points) == 42
-    assert len(cx.cells(3)) == 27
+    assert len(cx.quads[3]) == len(cx.vertex_ids[3]) == 27
     # geometric dedupe audit agrees with the symbolic identification
     assert gasket.audit_vertex_dedupe(cx) == 42
 
@@ -268,3 +269,36 @@ def test_cells_json(unit_triple):
     assert len(cells) == 4  # root + 3 children
     assert cells[0]["word"] == ""
     assert cells[0]["inscribed"]["type"] == "disk"
+
+
+def _off_center(t, slot, shift):
+    """Hand-built triple with member ``slot`` moved by ``shift`` times its radius."""
+    disks = list(t.disks)
+    (x, y), r = disks[slot].center, disks[slot].radius
+    disks[slot] = geom.disk((x + shift * r, y), r)
+    return geom.DiskTriple(disks=tuple(disks), q=t.q, quad=t.quad)
+
+
+def test_build_rejects_inconsistent_triple(unit_triple):
+    bad = _off_center(unit_triple, 1, 1e-3)
+    with pytest.raises(NumericBreakdown, match="tangency residual"):
+        gasket.build_complex(bad, 3)
+    with pytest.raises(NumericBreakdown):
+        geom.inscribed_disk(bad)
+
+
+def test_batched_inscribed_disks_check_every_row(unit_triple):
+    # one bad row among many good ones fails the whole batch
+    good = [geom.transform_triple(unit_triple, scale=s) for s in (0.5, 1.0, 2.0)]
+    rows = good + [_off_center(unit_triple, 2, 1e-3)]
+
+    def batch(triples):
+        return geom.inscribed_disks(
+            np.array([t.quad for t in triples]),
+            np.array([[d.center for d in t.disks] for t in triples]),
+            np.array([[d.radius for d in t.disks] for t in triples]),
+        )
+
+    assert len(batch(good)[1]) == 3
+    with pytest.raises(NumericBreakdown):
+        batch(rows)

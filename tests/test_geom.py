@@ -7,6 +7,7 @@ import pytest
 from conftest import random_triple
 from gasketlab import geom
 from gasketlab.errors import (
+    DegenerateTriple,
     HalfPlanePresent,
     NotPositivelyOriented,
     NotTangent,
@@ -292,3 +293,12 @@ def test_invert_circle_through_center_unrepresentable():
         geom.invert_circle_in_circle(centers, radii, 0j, 0.7)
     # without the offending circle the same call succeeds
     geom.invert_circle_in_circle(centers[[0, 2]], radii[[0, 2]], 0j, 0.7)
+
+
+def test_circumscribed_disk_collinear_tangency_points(unit_triple):
+    # a hand-built triple whose tangency points lie on one line has no
+    # circle through them
+    bad = geom.DiskTriple(disks=unit_triple.disks, q=((0.0, 0.0), (1.0, 0.0), (2.5, 0.0)),
+                          quad=unit_triple.quad)
+    with pytest.raises(DegenerateTriple, match="collinear"):
+        geom.circumscribed_disk(bad)

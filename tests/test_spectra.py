@@ -194,6 +194,22 @@ def test_slice_bound_on_double_eigenvalue(unit_triple, monkeypatch, offset):
     assert first["hi"] > double and first["count"] == int(np.sum(dense < first["hi"]))
 
 
+@pytest.mark.parametrize("k", [2, 4])
+def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, k):
+    # six free trace m=4 blocks have six zero modes; bisection toward the
+    # first target (k + 1 < 6) reaches the roundoff band of 0, where no
+    # count can be taken, and the first slice keeps all six
+    block = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
+    evp = spectra.GeneralizedEVP(
+        sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
+    )
+    s = spectra.solve(evp, how_many=k, dense_threshold=50, allow_disconnected=True)
+    assert s.meta["method"] == "lanczos-shift-invert" and s.meta["inertia_verified"]
+    assert np.array_equal(s.eigenvalues, np.zeros(k))
+    first = s.meta["slices"][0]
+    assert first["count"] == 6 and 0.0 < first["hi"] < 1e-8 * s.meta["lambda_scale"]
+
+
 def test_slice_placement_by_bisection(unit_triple, monkeypatch):
     # trace m=7, k=1000: five slices of at most step + step // 8 eigenvalues
     # (the bisection tolerance), each bound a shift that count_below counted,
