@@ -1,10 +1,13 @@
 """Generalized eigenproblems K u = lambda M u for the discrete energy forms.
 
-Small problems go through a dense full tridiagonalization.  Above the dense
-threshold a shift-invert Lanczos path computes spectrum slices.  Their
-bounds are placed by bisection on sparse Sylvester inertia counts of
-K - sigma M, and the same counts certify each slice complete at every size;
-every reported pair carries a residual certificate.
+Small problems go through a dense full tridiagonalization solved by LAPACK's
+divide-and-conquer driver (``syevd``), the fastest one when every
+eigenvector is wanted; it overwrites our own Fortran-order copy of the
+pencil, so f2py makes no second n x n copy.  Above the dense threshold a
+shift-invert Lanczos path computes spectrum slices.  Their bounds are
+placed by bisection on sparse Sylvester inertia counts of K - sigma M, and
+the same counts certify each slice complete at every size; every reported
+pair carries a residual certificate, computed in column blocks.
 """
 
 from __future__ import annotations
@@ -32,9 +35,18 @@ from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form
 from .gasket import apply_word, build_complex, index_set_I, word_index
 from .geom import DiskTriple, transform_triple
 
+# Dense (syevd) against sliced solve time in s, unit triple, one BLAS thread
+# on a 2-core Xeon, one run each (BENCH_7.json):
+#   n_free 1,092 (trace m=6):        k=100 0.29 / 0.14, k=300 0.29 / 0.57, k=1000 0.29 / 2.65
+#   n_free 1,821 (arc FEM m=5, r=3): k=100 1.32 / 0.20, k=300 1.27 / 0.79, k=1000 1.23 / 3.84
+#   n_free 3,279 (trace m=7):        k=100 6.28 / 0.42, k=300 6.16 / 1.41, k=1000 6.05 / 5.89
+# The crossover lies near k = 0.15-0.3 n_free, so a rule in n alone sends
+# small-k requests below the threshold through the slower dense path; it
+# stays until a rule in n and k shows a gain on a workload.
 DENSE_THRESHOLD = 3000
 SLICE_SIZE = 220  # eigenvalues aimed at per shift-invert slice
 RESIDUAL_RTOL = 1e-8
+RESIDUAL_BLOCK = 128  # eigenvector columns per block of the residual certificate
 PIVOT_RTOL = 1e-12  # min/max |pivot| below this: the shift sits on an eigenvalue
 BOUND_CLUSTER_RTOL = 1e-10  # a computed eigenvalue this close moves a slice bound
 BOUND_STEP_RTOL, BOUND_MOVES = 1e-8, 4  # first move of a bound (x10 per further move), cap
@@ -144,12 +156,25 @@ def _gershgorin_upper(A: sp.csr_matrix) -> float:
 
 
 def _residual_max(K, d, lams, Y, s):
-    """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} y."""
-    if len(lams) == 0:
+    """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} y.
+
+    The k columns are taken in ceil(k / RESIDUAL_BLOCK) near-equal blocks, so
+    the temporaries are n x RESIDUAL_BLOCK at most rather than n x k.  Each
+    column's norm is summed alone and in the same order as in one n x k
+    block, so the result is bit-identical to it.  No block is a single
+    column unless k = 1: numpy sums a lone column's norm pairwise instead.
+    """
+    k = len(lams)
+    if k == 0:
         return 0.0
-    V = Y * s[:, None]
-    R = K @ V - (d[:, None] * V) * lams[None, :]
-    return float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)))
+    n_blocks = -(-k // RESIDUAL_BLOCK)
+    edges = [k * i // n_blocks for i in range(n_blocks + 1)]
+    worst = 0.0
+    for a, b in zip(edges, edges[1:]):
+        V = Y[:, a:b] * s[:, None]
+        R = K @ V - (d[:, None] * V) * lams[None, a:b]
+        worst = max(worst, float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0))))
+    return worst
 
 
 def count_below(A: sp.csr_matrix, sigma: float) -> int:
@@ -184,7 +209,9 @@ def solve(
 
     ``how_many=None`` returns the full spectrum.  Problems with at most
     ``dense_threshold`` free vertices, and any full-spectrum request, are
-    solved by dense tridiagonalization; larger partial requests go through
+    solved by dense divide and conquer (LAPACK ``syevd``) on a Fortran-order
+    copy of the pencil that LAPACK overwrites, which saves the copy f2py
+    would make of a C-order array; larger partial requests go through
     shift-invert Lanczos slices whose completeness is verified by sparse
     inertia counts.  Either way ``meta["inertia_verified"]`` is True; the
     sliced path also records its slices under ``meta["slices"]``.
@@ -204,7 +231,9 @@ def solve(
     if k == 0:  # nothing asked: no factorization on either path
         lams, Y = np.empty(0), np.empty((n, 0))
     elif meta["method"] == "dense":
-        lams, Y = sla.eigh(A.toarray())
+        # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
+        lams, Y = sla.eigh(A.toarray(order="F"), driver="evd", overwrite_a=True,
+                           check_finite=False)
         lams = lams[:k]
         Y = Y[:, :k]
     else:

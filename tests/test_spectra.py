@@ -118,6 +118,70 @@ def test_iterative_path_matches_dense(unit_triple):
     assert it.meta["trust_ceiling"] == spectra.trust_ceiling(it)
 
 
+@pytest.mark.parametrize("scheme", ["arcfem m=5 refine 3", "trace m=6"])
+def test_dense_path_matches_eigvalsh(unit_triple, scheme):
+    # the divide-and-conquer solve against numpy's eigvalsh on the same matrix
+    if scheme.startswith("arcfem"):
+        evp, k = spectra.evp_from_arc_fem(unit_triple, 5, 3), 1000
+    else:
+        evp, k = spectra.evp_from_trace(unit_triple, 6), None
+    s = spectra.solve(evp, how_many=k)
+    assert s.meta["method"] == "dense"
+    _, _, _, A = spectra._free_pencil(evp, False)
+    ref = np.linalg.eigvalsh(A.toarray())[: len(s)]
+    floor = 1e-12 * s.meta["lambda_scale"]
+    assert np.all(np.abs(s.eigenvalues - ref) <= np.maximum(1e-10 * np.abs(ref), floor))
+    assert s.meta["residual_max"] <= spectra.RESIDUAL_RTOL * s.meta["lambda_scale"]
+
+
+@pytest.mark.parametrize("dirichlet", ["v0", "none"])
+def test_dense_solve_leaves_pencil_unchanged(unit_triple, dirichlet):
+    # the dense eigensolve overwrites its input: it must be a private copy
+    evp = spectra.evp_from_trace(unit_triple, 4, dirichlet=dirichlet)
+    K, mass = evp.stiffness.copy(), evp.mass.copy()
+    spectra.solve(evp, allow_disconnected=True)
+    assert np.array_equal(evp.stiffness.data, K.data)
+    assert np.array_equal(evp.stiffness.indices, K.indices)
+    assert np.array_equal(evp.stiffness.indptr, K.indptr)
+    assert np.array_equal(evp.mass, mass)
+
+
+def _residual_columns(K, d, lams, Y, s):
+    V = Y * s[:, None]
+    R = K @ V - (d[:, None] * V) * lams[None, :]
+    return np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)
+
+
+def _residual_max_one_block(K, d, lams, Y, s):
+    # the certificate as one n x k block: the oracle for the blocked version
+    return float(np.max(_residual_columns(K, d, lams, Y, s))) if len(lams) else 0.0
+
+
+@pytest.mark.parametrize("layout", ["F", "C"])  # dense eigh / stacked slices
+def test_blocked_residual_is_bit_identical(unit_triple, layout):
+    evp = spectra.evp_from_trace(unit_triple, 5)
+    _, K, d, A = spectra._free_pencil(evp, False)
+    s = 1.0 / np.sqrt(d)
+    as_layout = np.asfortranarray if layout == "F" else np.ascontiguousarray
+    lams, Y = np.linalg.eigh(A.toarray())
+    Y = as_layout(Y)
+    for k in (0, 1, 127, 128, 129, 300):
+        oracle = _residual_max_one_block(K, d, lams[:k], Y[:, :k], s)
+        assert spectra._residual_max(K, d, lams[:k], Y[:, :k], s) == oracle, k
+    # numpy sums the norm of a lone column pairwise, so a one-column tail
+    # block would change bits: make such a column the worst of 129, and last
+    in_block = _residual_columns(K, d, lams, Y, s)
+    alone = np.array([_residual_columns(K, d, lams[j : j + 1], Y[:, j : j + 1], s)[0]
+                      for j in range(len(lams))])
+    moved = np.flatnonzero(in_block != alone)
+    worst = moved[np.argmax(in_block[moved])]
+    order = np.r_[np.flatnonzero(in_block < in_block[worst])[:128], worst]
+    Y_w = as_layout(Y[:, order])
+    oracle = _residual_max_one_block(K, d, lams[order], Y_w, s)
+    assert oracle == in_block[worst] != alone[worst]
+    assert spectra._residual_max(K, d, lams[order], Y_w, s) == oracle
+
+
 def test_inertia_consistency_random_shifts(unit_triple, rng):
     # Sylvester counts against the dense spectrum at 10 random shifts
     evp = spectra.evp_from_trace(unit_triple, 4)
