@@ -5,8 +5,7 @@ axis, in the line through the origin at angle pi/q, in a circle orthogonal
 to the unit circle crossing the real axis at angle pi/3, and in a circle
 |z| = r_q crossing the previous one at angle pi/3.  The orbit of the unit
 circle under the group accumulates on a round Sierpinski carpet; everything
-here works with plain (center, radius) circles and closed-form inversion
-images, which is much faster than composing Mobius maps.
+here works with plain (center, radius) circles and their closed-form images.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import (
     SupportViolation,
 )
 from .gasket import PowerLawFit, fit_power_law
-from .geom import MobiusMap, invert_circle_in_circle, reflect_circle_in_line
+from .geom import invert_circle_in_circle, reflect_circle_in_line
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,14 +88,20 @@ def _bisect(f, lo, hi, iters=200):
     return 0.5 * (lo + hi)
 
 
-def generators(cfg: GroupConfig) -> tuple[MobiusMap, MobiusMap, MobiusMap, MobiusMap]:
-    """The four inversions (real axis, orthogonal circle, ray at pi/q, |z|=r_q)."""
+def generators(cfg: GroupConfig):
+    """The four inversions (real axis, orthogonal circle, ray at pi/q, |z|=r_q).
+
+    Each is a circle map (c, r) -> (c', r') on a complex center and a radius,
+    or on arrays of them, and this tuple is the one definition of the group.
+    The maps look up ``reflect_circle_in_line`` and ``invert_circle_in_circle``
+    in this module when called.
+    """
     center2 = cfg.t_q * cmath.exp(1j * math.pi / cfg.q)
     return (
-        MobiusMap.line_reflection(0j, 0.0),
-        MobiusMap.inversion(center2, cfg.s_q),
-        MobiusMap.line_reflection(0j, math.pi / cfg.q),
-        MobiusMap.inversion(0j, cfg.r_q),
+        lambda c, r: reflect_circle_in_line(c, r, 0j, 0.0),
+        lambda c, r: invert_circle_in_circle(c, r, center2, cfg.s_q),
+        lambda c, r: reflect_circle_in_line(c, r, 0j, math.pi / cfg.q),
+        lambda c, r: invert_circle_in_circle(c, r, 0j, cfg.r_q),
     )
 
 
@@ -117,9 +122,10 @@ class CircleOrbit:
         return 1.0 / self.radii
 
     def to_csv(self) -> str:
+        cols = (self.centers.real.tolist(), self.centers.imag.tolist(),
+                self.radii.tolist(), self.generations.tolist())
         lines = ["center_x,center_y,radius,generation"]
-        for c, r, g in zip(self.centers, self.radii, self.generations):
-            lines.append(f"{c.real:.17g},{c.imag:.17g},{r:.17g},{g}")
+        lines += [f"{x:.17g},{y:.17g},{r:.17g},{g}" for x, y, r, g in zip(*cols)]
         return "\n".join(lines) + "\n"
 
 
@@ -158,7 +164,7 @@ def enumerate_circles(
     """
     if min_radius <= 0.0:
         raise ValueError("min_radius must be positive")
-    center2 = cfg.t_q * cmath.exp(1j * math.pi / cfg.q)
+    gens = generators(cfg)
     tol = 1e-9
 
     def matches(c, r, c0, r0):
@@ -171,12 +177,7 @@ def enumerate_circles(
     stored = 0
     while len(layers[-1][1]):
         c, r = layers[-1]
-        images = (
-            reflect_circle_in_line(c, r, 0j, 0.0),
-            invert_circle_in_circle(c, r, center2, cfg.s_q),
-            reflect_circle_in_line(c, r, 0j, math.pi / cfg.q),
-            invert_circle_in_circle(c, r, 0j, cfg.r_q),
-        )
+        images = [g(c, r) for g in gens]
         ic = np.column_stack([im[0] for im in images]).ravel()
         ir = np.column_stack([im[1] for im in images]).ravel()
         fresh = ~matches(ic, ir, np.repeat(c, 4), np.repeat(r, 4))

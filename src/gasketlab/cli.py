@@ -224,8 +224,8 @@ def _cmd_carpet(args) -> int:
         orbit = carpet.enumerate_circles(cfg, args.min_radius)
         _emit(args, orbit.to_csv())
         if args.out_svg:
-            circles = [(c.real, c.imag, r) for c, r in zip(orbit.centers, orbit.radii)]
-            circles.insert(0, (0.0, 0.0, 1.0))
+            circles = [(0.0, 0.0, 1.0)] + list(zip(
+                orbit.centers.real.tolist(), orbit.centers.imag.tolist(), orbit.radii.tolist()))
             with open(args.out_svg, "w", encoding="utf-8") as fh:
                 fh.write(circles_svg(circles))
         return 0

@@ -1,9 +1,8 @@
 """Plane geometry of tangent disks and half-planes.
 
 Everything here is a pure function on immutable values.  Points are
-``(x, y)`` tuples; complex numbers are used internally for Mobius maps.
-Geometric comparisons are relative to the local scale (the largest radius
-involved); algebraic identities use a tighter tolerance.
+``(x, y)`` tuples.  Geometric comparisons are relative to the local scale
+(the largest radius involved); algebraic identities use a tighter tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -379,160 +377,7 @@ def transform_triple(
 
 
 # ---------------------------------------------------------------------------
-# Mobius maps
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """z -> (a w + b) / (c w + d) with w = conj(z) if conj else z."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    conj: bool = False
-
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) == 0.0:
-            raise ValueError("Mobius map needs a nonzero determinant")
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-
-    @classmethod
-    def inversion(cls, center: complex, radius: float) -> "MobiusMap":
-        """Inversion in the circle |z - center| = radius (an involution)."""
-        a = complex(center)
-        return cls(a, radius * radius - a * a.conjugate(), 1.0 + 0.0j, -a.conjugate(), conj=True)
-
-    @classmethod
-    def line_reflection(cls, point: complex, angle: float) -> "MobiusMap":
-        """Reflection in the line through ``point`` with direction ``angle``."""
-        u = cmath.exp(2.0j * angle)
-        p = complex(point)
-        return cls(u, p - u * p.conjugate(), 0.0j, 1.0 + 0.0j, conj=True)
-
-    def apply(self, z: complex) -> complex:
-        w = z.conjugate() if self.conj else z
-        den = self.c * w + self.d
-        if den == 0.0:
-            return complex(math.inf, math.inf)
-        return (self.a * w + self.b) / den
-
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        """Composition: (f @ g)(z) = f(g(z))."""
-        if self.conj:
-            oa, ob, oc, od = (
-                other.a.conjugate(),
-                other.b.conjugate(),
-                other.c.conjugate(),
-                other.d.conjugate(),
-            )
-        else:
-            oa, ob, oc, od = other.a, other.b, other.c, other.d
-        return MobiusMap(
-            self.a * oa + self.b * oc,
-            self.a * ob + self.b * od,
-            self.c * oa + self.d * oc,
-            self.c * ob + self.d * od,
-            conj=self.conj != other.conj,
-        )
-
-    def inverse(self) -> "MobiusMap":
-        a, b, c, d = self.d, -self.b, -self.c, self.a
-        if self.conj:
-            a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-        return MobiusMap(a, b, c, d, conj=self.conj)
-
-    def pole(self) -> complex | None:
-        """Source point mapped to infinity, or None for affine maps."""
-        if self.c == 0.0:
-            return None
-        w = -self.d / self.c
-        return w.conjugate() if self.conj else w
-
-
-class InvertedRegion(NamedTuple):
-    region: GeneralizedDisk
-    complemented: bool  # True when the actual image contains infinity
-
-
-def _contains(d: GeneralizedDisk, z: complex) -> bool:
-    if d.is_disk:
-        return abs(z - complex(*d.center)) < d.radius
-    return z.real * d.normal[0] + z.imag * d.normal[1] < d.offset
-
-
-def _boundary_points(d: GeneralizedDisk, angles) -> list[complex]:
-    if d.is_disk:
-        c = complex(*d.center)
-        return [c + d.radius * cmath.exp(1j * th) for th in angles]
-    nx, ny = d.normal
-    base = complex(nx, ny) * d.offset
-    tang = complex(-ny, nx)
-    return [base + t * tang for t in angles]
-
-
-def invert(m: MobiusMap, d: GeneralizedDisk) -> InvertedRegion:
-    """Image of an open disk or half-plane under a Mobius map.
-
-    Returns the image region together with a flag telling whether the true
-    image contains the point at infinity (in which case the returned disk
-    is the complement of the image, or the returned half-plane misses it).
-    """
-    for attempt in range(4):
-        phase = 0.7548776662 * (attempt + 1)
-        if d.is_disk:
-            params = [phase, phase + 2.0 * math.pi / 3.0, phase + 4.0 * math.pi / 3.0]
-        else:
-            params = [phase - 1.0, phase, phase + 1.3]
-        pts = [m.apply(z) for z in _boundary_points(d, params)]
-        if all(abs(w) < 1e13 for w in pts):
-            break
-    else:
-        raise UnrepresentableImage("boundary sampling keeps hitting the pole")
-
-    pole = m.pole()
-    contains_inf = pole is not None and _contains(d, pole)
-    if d.is_disk:
-        interior_src = complex(*d.center)
-    else:
-        nx, ny = d.normal
-        interior_src = complex(nx, ny) * (d.offset - 1.0)
-    if pole is not None and abs(interior_src - pole) < 1e-12:
-        interior_src = 0.5 * (interior_src + _boundary_points(d, [0.1])[0])
-    w_int = m.apply(interior_src)
-
-    p1, p2, p3 = ((w.real, w.imag) for w in pts)
-    try:
-        center, radius = _circumcircle(p1, p2, p3)
-        image_boundary_is_line = False
-    except DegenerateTriple:
-        image_boundary_is_line = True
-
-    if image_boundary_is_line:
-        # boundary maps onto a straight line; the image region is a half-plane
-        direction = pts[1] - pts[0]
-        if direction == 0.0:
-            raise UnrepresentableImage("degenerate boundary image")
-        n = direction / abs(direction) * 1j
-        nx, ny = n.real, n.imag
-        off = pts[0].real * nx + pts[0].imag * ny
-        if w_int.real * nx + w_int.imag * ny > off:
-            nx, ny, off = -nx, -ny, -off
-        return InvertedRegion(halfplane((nx, ny), off), contains_inf)
-
-    image = disk(center, radius)
-    inside = abs(w_int - complex(*center)) < radius
-    if inside and not contains_inf:
-        return InvertedRegion(image, False)
-    # interior maps outside: the true image is the complement of the disk
-    return InvertedRegion(image, True)
-
-
-# ---------------------------------------------------------------------------
-# raw circle transforms (fast paths used by the carpet orbit enumeration)
+# circle transforms (the generators of the carpet group are built from them)
 
 
 def _complex(re, im):

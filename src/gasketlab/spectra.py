@@ -67,6 +67,8 @@ class GeneralizedEVP:
             raise ValueError("mass must be a diagonal vector")
         if any(i < 0 or i >= n for i in self.boundary):
             raise ValueError("boundary indices out of range")
+        if len(set(self.boundary)) != len(self.boundary):
+            raise ValueError("boundary indices repeat")
 
     @property
     def n_total(self) -> int:
@@ -107,7 +109,7 @@ def _resolve_boundary(dirichlet, n) -> tuple[int, ...]:
         return ()
     if dirichlet == "v0":
         return (0, 1, 2)
-    return tuple(sorted(int(i) for i in dirichlet))
+    return tuple(sorted({int(i) for i in dirichlet}))
 
 
 @dataclass
@@ -201,17 +203,17 @@ def count_below(A: sp.csr_matrix, sigma: float) -> int:
 def solve(
     evp: GeneralizedEVP,
     how_many: int | None = None,
-    dense_threshold: int = DENSE_THRESHOLD,
     allow_disconnected: bool = False,
     seed: int = 0,
 ) -> Spectrum:
     """Lowest eigenvalues of the pencil (K, diag(mass)) on the free vertices.
 
     ``how_many=None`` returns the full spectrum.  Problems with at most
-    ``dense_threshold`` free vertices, and any full-spectrum request, are
-    solved by dense divide and conquer (LAPACK ``syevd``) on a Fortran-order
-    copy of the pencil that LAPACK overwrites, which saves the copy f2py
-    would make of a C-order array; larger partial requests go through
+    ``DENSE_THRESHOLD`` free vertices (the module constant, read at call
+    time), and any full-spectrum request, are solved by dense divide and
+    conquer (LAPACK ``syevd``) on a Fortran-order copy of the pencil that
+    LAPACK overwrites, which saves the copy f2py would make of a C-order
+    array; larger partial requests go through
     shift-invert Lanczos slices whose completeness is verified by sparse
     inertia counts.  Either way ``meta["inertia_verified"]`` is True; the
     sliced path also records its slices under ``meta["slices"]``.
@@ -226,7 +228,7 @@ def solve(
 
     meta = dict(evp.meta)
     meta.update({"boundary": tuple(evp.boundary), "n_free": n})
-    meta["method"] = "dense" if n <= dense_threshold or k == n else "lanczos-shift-invert"
+    meta["method"] = "dense" if n <= DENSE_THRESHOLD or k == n else "lanczos-shift-invert"
 
     if k == 0:  # nothing asked: no factorization on either path
         lams, Y = np.empty(0), np.empty((n, 0))

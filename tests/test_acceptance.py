@@ -199,21 +199,26 @@ def test_criterion_11_sector_extension():
 def test_criterion_12_carpet_construction():
     t0 = time.time()
     rng = np.random.default_rng(12)
-    pts = [complex(*rng.uniform(-0.85, 0.85, 2)) for _ in range(40)]
+    # 40 circles of radius 0.05 around random points, none through the origin
+    x, y = rng.uniform(-0.85, 0.85, (40, 2)).T
+    pts = x + 1j * y
+    radii = np.full(40, 0.05)
     details = []
     ok = True
+
+    def off_by(image, c, r):
+        return max(np.max(np.abs(image[0] - c)), np.max(np.abs(image[1] - r)))
+
     for q in (7, 8, 9, 12):
         cfg = carpet.solve_params(q)
         ok &= max(abs(x) for x in cfg.residuals) < 1e-12
         gens = carpet.generators(cfg)
         for g in gens:
-            ok &= max(abs(g.apply(g.apply(z)) - z) for z in pts) < 1e-10
-        comp = gens[2] @ gens[0]
-        for z in pts[:10]:
-            w = z
-            for _ in range(q):
-                w = comp.apply(w)
-            ok &= abs(w - z) < 1e-10
+            ok &= off_by(g(*g(pts, radii)), pts, radii) < 1e-10
+        w = (pts[:10], radii[:10])
+        for _ in range(q):
+            w = gens[2](*gens[0](*w))
+        ok &= off_by(w, pts[:10], radii[:10]) < 1e-10
         if q == 8:
             o_coarse, o_fine = _q8_orbits()
         else:

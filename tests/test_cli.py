@@ -130,10 +130,7 @@ def test_checks_interlacing_violation_exit_two(capsys, monkeypatch):
 
 
 def test_spectrum_not_converged_exit_one(capsys, monkeypatch, short_eigsh):
-    solve = spectra.solve
-    monkeypatch.setattr(
-        spectra, "solve", lambda evp, **kw: solve(evp, dense_threshold=100, **kw)
-    )
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
     code, out, err = run_cli(capsys, "spectrum", "--depth", "5", "--top", "150")
     assert code == 1
     assert out == ""

@@ -145,113 +145,52 @@ def test_triangle_area_values(unit_triple):
 
 
 # ---------------------------------------------------------------------------
-# Mobius maps and region images
+# closed-form circle maps
 
 
-def test_invert_identity():
-    d = geom.disk((2.5, -1.0), 0.6)
-    res = geom.invert(geom.MobiusMap.identity(), d)
-    assert not res.complemented
-    assert abs(res.region.center[0] - 2.5) < 1e-12
-    assert abs(res.region.radius - 0.6) < 1e-12
+def _scalar_and_array(fn, center, radius, *mirror):
+    """Images (center, radius) of one circle from a scalar and an array call."""
+    sc, sr = fn(complex(center), float(radius), *mirror)
+    ac, ar = fn(np.full(2, complex(center)), np.full(2, float(radius)), *mirror)
+    return [(sc, sr)] + list(zip(ac.tolist(), ar.tolist()))
 
 
 def test_invert_unit_circle_inversion():
-    m = geom.MobiusMap.inversion(0j, 1.0)
-    res = geom.invert(m, geom.disk((3, 0), 1))
-    assert not res.complemented
-    assert abs(res.region.center[0] - 3 / 8) < 1e-12
-    assert abs(res.region.center[1]) < 1e-12
-    assert abs(res.region.radius - 1 / 8) < 1e-12
-    # oracle: 20 mapped boundary points lie on the image boundary
-    for k in range(20):
-        z = complex(3, 0) + cmath.exp(2j * math.pi * k / 20)
-        w = m.apply(z)
-        r = abs(w - complex(*res.region.center))
-        assert abs(r - res.region.radius) < 1e-9 * res.region.radius
+    for c, r in _scalar_and_array(geom.invert_circle_in_circle, 3.0, 1.0, 0j, 1.0):
+        assert abs(c - 3 / 8) < 1e-15 and abs(r - 1 / 8) < 1e-15
+        # oracle: 20 inverted boundary points lie on the image circle
+        for k in range(20):
+            z = 3.0 + cmath.exp(2j * math.pi * k / 20)
+            assert abs(abs(1.0 / z.conjugate() - c) - r) < 1e-12 * r
 
 
 def test_invert_reflection_mirror():
-    refl = geom.MobiusMap.line_reflection(0j, 0.0)
-    res = geom.invert(refl, geom.disk((0, 1), 1))
-    assert abs(res.region.center[1] + 1.0) < 1e-12
-    assert abs(res.region.radius - 1.0) < 1e-12
+    images = _scalar_and_array(geom.reflect_circle_in_line, 1j, 1.0, 0j, 0.0)
+    assert all(c == -1j and r == 1.0 for c, r in images)
 
 
-def test_invert_complement_flag():
-    # the image of a disk containing the inversion center is unbounded
-    m = geom.MobiusMap.inversion(0j, 1.0)
-    res = geom.invert(m, geom.disk((0, 0), 2))
-    assert res.complemented
-    assert abs(res.region.radius - 0.5) < 1e-12
-
-
-def test_invert_halfplane_to_disk():
-    # inversion in the unit circle sends the half-plane x > 1 to a disk
-    m = geom.MobiusMap.inversion(0j, 1.0)
-    res = geom.invert(m, geom.halfplane((-1.0, 0.0), -1.0))  # {x > 1}
-    assert res.region.is_disk
-    assert not res.complemented
-    assert abs(res.region.center[0] - 0.5) < 1e-9
-    assert abs(res.region.radius - 0.5) < 1e-9
+def test_invert_circle_enclosing_center():
+    # the disk |z| < 2 contains the inversion center: its boundary maps to |z| = 1/2
+    for c, r in _scalar_and_array(geom.invert_circle_in_circle, 0j, 2.0, 0j, 1.0):
+        assert abs(c) < 1e-15 and abs(r - 0.5) < 1e-15
 
 
 def test_invert_roundtrip(rng):
+    # every reflection and inversion is an involution, whatever the mirror
     for _ in range(20):
-        m = geom.MobiusMap(
-            complex(*rng.normal(size=2)),
-            complex(*rng.normal(size=2)),
-            complex(*rng.normal(size=2)),
-            complex(*rng.normal(size=2)),
-            conj=bool(rng.integers(2)),
-        )
-        d = geom.disk((float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))),
-                      float(rng.uniform(0.1, 1.0)))
-        res = geom.invert(m, d)
-        if res.complemented or not res.region.is_disk:
-            continue
-        back = geom.invert(m.inverse(), res.region)
-        assert abs(back.region.center[0] - d.center[0]) < 1e-9
-        assert abs(back.region.center[1] - d.center[1]) < 1e-9
-        assert abs(back.region.radius - d.radius) < 1e-9 * d.radius
-
-
-def test_mobius_compose_and_inverse(rng):
-    for _ in range(30):
-        m1 = geom.MobiusMap(
-            complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
-            complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
-            conj=bool(rng.integers(2)),
-        )
-        m2 = geom.MobiusMap(
-            complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
-            complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
-            conj=bool(rng.integers(2)),
-        )
-        z = complex(*rng.normal(size=2))
-        w1 = (m1 @ m2).apply(z)
-        w2 = m1.apply(m2.apply(z))
-        assert abs(w1 - w2) < 1e-9 * max(1.0, abs(w2))
-        zi = m1.inverse().apply(m1.apply(z))
-        assert abs(zi - z) < 1e-9 * max(1.0, abs(z))
-
-
-def test_mobius_associativity(rng):
-    maps = []
-    for _ in range(3):
-        maps.append(
-            geom.MobiusMap(
-                complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
-                complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
-                conj=bool(rng.integers(2)),
-            )
-        )
-    m1, m2, m3 = maps
-    for _ in range(10):
-        z = complex(*rng.normal(size=2))
-        w1 = ((m1 @ m2) @ m3).apply(z)
-        w2 = (m1 @ (m2 @ m3)).apply(z)
-        assert abs(w1 - w2) < 1e-9 * max(1.0, abs(w1))
+        point = complex(*rng.normal(size=2))
+        inv_center, inv_radius = complex(*rng.normal(size=2)), float(rng.uniform(0.2, 2.0))
+        c = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+        r = rng.uniform(0.01, 1.0, 50)
+        keep = np.abs(c - inv_center) > r + 0.1
+        c, r = c[keep], r[keep]
+        for fn, mirror in (
+            (geom.reflect_circle_in_line, (point, float(rng.uniform(0, math.pi)))),
+            (geom.invert_circle_in_circle, (inv_center, inv_radius)),
+        ):
+            bc, br = fn(*fn(c, r, *mirror), *mirror)
+            assert np.max(np.abs(bc - c)) < 1e-9
+            assert np.max(np.abs(br - r) / r) < 1e-9
 
 
 def test_disk_json_roundtrip():

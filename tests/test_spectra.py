@@ -100,12 +100,13 @@ def test_weyl_fit_needs_enough_eigenvalues():
         spectra.weyl_fit(s)
 
 
-def test_iterative_path_matches_dense(unit_triple):
+def test_iterative_path_matches_dense(unit_triple, monkeypatch):
     # force the sliced Lanczos path on a mid-size problem and compare
     evp = spectra.evp_from_trace(unit_triple, 5)
     dense = spectra.solve(evp).eigenvalues
     k = 150
-    it = spectra.solve(evp, how_many=k, dense_threshold=100)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    it = spectra.solve(evp, how_many=k)
     assert it.meta["method"] == "lanczos-shift-invert"
     assert it.meta["inertia_verified"]
     assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
@@ -250,7 +251,8 @@ def test_slice_bound_on_double_eigenvalue(unit_triple, monkeypatch, offset):
     monkeypatch.setattr(spectra, "_split", split_onto_double)
     k = 220
     dense = spectra.solve(evp, allow_disconnected=True).eigenvalues
-    it = spectra.solve(evp, how_many=k, dense_threshold=50, allow_disconnected=True)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 50)
+    it = spectra.solve(evp, how_many=k, allow_disconnected=True)
     assert forced and it.meta["inertia_verified"]
     assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
     first = it.meta["slices"][0]
@@ -259,7 +261,7 @@ def test_slice_bound_on_double_eigenvalue(unit_triple, monkeypatch, offset):
 
 
 @pytest.mark.parametrize("k", [2, 4])
-def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, k):
+def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, monkeypatch, k):
     # six free trace m=4 blocks have six zero modes; bisection toward the
     # first target (k + 1 < 6) reaches the roundoff band of 0, where no
     # count can be taken, and the first slice keeps all six
@@ -267,7 +269,8 @@ def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, k):
     evp = spectra.GeneralizedEVP(
         sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
     )
-    s = spectra.solve(evp, how_many=k, dense_threshold=50, allow_disconnected=True)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 50)
+    s = spectra.solve(evp, how_many=k, allow_disconnected=True)
     assert s.meta["method"] == "lanczos-shift-invert" and s.meta["inertia_verified"]
     assert np.array_equal(s.eigenvalues, np.zeros(k))
     first = s.meta["slices"][0]
@@ -310,23 +313,25 @@ def test_slice_placement_by_bisection(unit_triple, monkeypatch):
         assert len(eigsh_calls) == sum(sl["count"] > 0 for sl in slices)
 
 
-def test_sliced_not_converged_when_slices_come_short(unit_triple, short_eigsh):
+def test_sliced_not_converged_when_slices_come_short(unit_triple, monkeypatch, short_eigsh):
     evp = spectra.evp_from_trace(unit_triple, 5)
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
     with pytest.raises(NotConverged, match="kept missing") as caught:
-        spectra.solve(evp, how_many=150, dense_threshold=100)
+        spectra.solve(evp, how_many=150)
     assert len(caught.value.partial) == 0  # the first slice already came short
 
 
-def test_sliced_not_converged_keeps_finished_slices(unit_triple, short_eigsh):
+def test_sliced_not_converged_keeps_finished_slices(unit_triple, monkeypatch, short_eigsh):
     # only the second slice comes short: the first slice's eigenvalues,
     # all the dense eigenvalues below the first bound, are attached
     evp = spectra.evp_from_trace(unit_triple, 5)
     dense = spectra.solve(evp).eigenvalues
     short_eigsh.honest = 100
-    first_hi = spectra.solve(evp, how_many=300, dense_threshold=100).meta["slices"][0]["hi"]
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    first_hi = spectra.solve(evp, how_many=300).meta["slices"][0]["hi"]
     short_eigsh.honest = 1
     with pytest.raises(NotConverged, match="kept missing") as caught:
-        spectra.solve(evp, how_many=300, dense_threshold=100)
+        spectra.solve(evp, how_many=300)
     below = dense[dense < first_hi]
     partial = caught.value.partial
     assert len(partial) == len(below) > 0
@@ -336,8 +341,9 @@ def test_sliced_not_converged_keeps_finished_slices(unit_triple, short_eigsh):
 @pytest.mark.parametrize("dense_threshold", [3000, 10])
 def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_threshold):
     evp = spectra.evp_from_trace(unit_triple, 3)  # 39 free vertices
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", dense_threshold)
     with pytest.raises(ValueError, match="non-negative"):
-        spectra.solve(evp, how_many=-5, dense_threshold=dense_threshold)
+        spectra.solve(evp, how_many=-5)
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorization for an empty request")
@@ -345,7 +351,7 @@ def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_threshold):
     monkeypatch.setattr(spectra, "count_below", no_factorization)
     monkeypatch.setattr(spectra.sla, "eigh", no_factorization)
     monkeypatch.setattr(spectra.spla, "eigsh", no_factorization)
-    s = spectra.solve(evp, how_many=0, dense_threshold=dense_threshold)
+    s = spectra.solve(evp, how_many=0)
     assert len(s) == 0 and s.meta["inertia_verified"] and s.meta["trust_ceiling"] is None
     assert s.meta["method"] == ("dense" if dense_threshold > 39 else "lanczos-shift-invert")
 
@@ -360,6 +366,15 @@ def test_dirichlet_monotonicity(unit_triple):
     ).eigenvalues
     n = len(lam_big)
     assert np.all(lam_big + 1e-11 >= lam_small[:n])
+
+
+def test_duplicate_dirichlet_indices(unit_triple):
+    # a repeated index is one boundary vertex: the pencil and solve agree on n_free
+    evp = spectra.evp_from_trace(unit_triple, 3, dirichlet=(0, 0, 1, 2))
+    assert evp.boundary == (0, 1, 2)
+    assert evp.n_free == spectra.solve(evp).meta["n_free"] == 39
+    with pytest.raises(ValueError, match="repeat"):
+        spectra.GeneralizedEVP(evp.stiffness, evp.mass, (0, 0, 1, 2))
 
 
 def test_interlacing_trivial_and_small(unit_triple):
