@@ -320,19 +320,23 @@ def _cmd_checks(args) -> int:
             t_small = spectra.census_vertices(t, n)
             report(f"census vertex count n={n}", len(t_small) == 9 * n - 3)
     elif args.suite == "extension":
-        bad, _ = checks.sector_extension_sweep(rng, 100)
+        bad = checks.sector_extension_sweep(rng, 100)
         report("sector extension sweep", bad == 0, f"{bad} violations of 100")
     return 2 if failures else 0
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # pin thread pools before numpy gets imported anywhere below
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv) and argv[idx + 1].isdigit() and int(argv[idx + 1]) > 0:
+    # pin thread pools before numpy gets imported anywhere below; the flag
+    # comes as "--threads N" or "--threads=N"
+    flat = [
+        x for tok in argv for x in (tok.split("=", 1) if tok.startswith("--threads=") else [tok])
+    ]
+    if "--threads" in flat:
+        idx = flat.index("--threads")
+        if idx + 1 < len(flat) and flat[idx + 1].isdigit() and int(flat[idx + 1]) > 0:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = argv[idx + 1]
+                os.environ[var] = flat[idx + 1]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -73,10 +73,6 @@ class InterlacingViolation(GasketLabError):
         self.index = index
 
 
-class QuadratureUnstable(GasketLabError):
-    """Refining the quadrature changed a sector integral beyond tolerance."""
-
-
 class InvalidQ(GasketLabError):
     """Reflection-group parameter q must be an integer larger than 6."""
 

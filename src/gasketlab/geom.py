@@ -49,6 +49,9 @@ class GeneralizedDisk:
     offset: float | None = None
 
     def __post_init__(self):
+        data = (*(self.center or ()), *(self.normal or ()), self.radius, self.offset)
+        if not all(math.isfinite(x) for x in data if x is not None):
+            raise ValueError("disk and half-plane data must be finite")
         if self.center is not None:
             if self.radius is None or self.radius <= 0.0:
                 raise ValueError("disk needs a positive radius")
@@ -71,6 +74,8 @@ class GeneralizedDisk:
 def disk(center: Point, radius: float) -> GeneralizedDisk:
     """Open disk with the stated center and radius."""
     radius = float(radius)
+    if not radius > 0.0:  # before 1/radius; NaN fails here too
+        raise ValueError("disk needs a positive radius")
     return GeneralizedDisk(
         curvature=1.0 / radius,
         center=(float(center[0]), float(center[1])),
@@ -326,6 +331,8 @@ def triangle_area(t: DiskTriple) -> float:
 
 def triple_from_curvatures(a: float, b: float, c: float) -> DiskTriple:
     """Canonical triple with given curvatures: first two disks on the x-axis."""
+    if not all(math.isfinite(k) and k > 0.0 for k in (a, b, c)):
+        raise ValueError("curvatures must be finite and positive")
     r1, r2, r3 = 1.0 / a, 1.0 / b, 1.0 / c
     d12, d13, d23 = r1 + r2, r1 + r3, r2 + r3
     x = (d12 * d12 + d13 * d13 - d23 * d23) / (2.0 * d12)

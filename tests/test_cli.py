@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -151,3 +152,33 @@ def test_bad_triple_exit_one(capsys):
     code, _, err = run_cli(capsys, "gasket", "count", "--triple", "1,2")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        "0,1,1",
+        "inf,1,1",
+        "nan,1,1",
+        *(
+            f'[{{"type": "disk", "center": [0, 0], "radius": {r}}},'
+            ' {"type": "disk", "center": [2, 0], "radius": 1},'
+            ' {"type": "disk", "center": [1, 1.7320508075688772], "radius": 1}]'
+            for r in ("NaN", "0")
+        ),
+    ],
+)
+def test_nonfinite_or_nonpositive_triple_exit_one(capsys, triple):
+    code, out, err = run_cli(capsys, "gasket", "count", "--triple", triple)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"]])
+def test_threads_flag_pins_blas(capsys, monkeypatch, flag):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "7")  # restored after the test
+    code, _, _ = run_cli(capsys, *flag, "gasket", "count", "--lambda-max", "20", "--grid", "3")
+    assert code == 0
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var] == "2"

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_triple
 from gasketlab import forms, gasket, geom
-from gasketlab.errors import HalfPlanePresent, QuadratureUnstable
+from gasketlab.errors import HalfPlanePresent
 
 SQRT3 = math.sqrt(3.0)
 
@@ -325,14 +325,69 @@ def test_sector_check_random_sweep(rng):
         assert rep.w12_ok and all(rep.l2_ok.values())
 
 
-def test_sector_check_unstable_quadrature():
-    # the ten doublings settle the quadrature to about 1e-9 relative here,
-    # so a 1e-15 stability tolerance cannot be met
-    f = forms.sample_arc_function((0.0, 0.0), 1.0, 0.0, math.pi / 2, lambda x, y: y, n=128)
-    rep = forms.sector_extension_check(f, a=rep_mean(f))
-    assert 1e-15 < rep.quad_rel_change <= 1e-4
-    with pytest.raises(QuadratureUnstable, match="still changing"):
-        forms.sector_extension_check(f, a=rep_mean(f), stability_tol=1e-15)
+def test_sector_check_exact_on_linear_data():
+    # u = p + q theta is its own piecewise-linear interpolant, so the sector
+    # integrals equal the antiderivative forms to roundoff
+    r, th0, th1, p, q = 1.7, 0.4, 2.3, 0.3, 0.9
+    th = np.linspace(th0, th1, 17)
+    f = forms.ArcSegmentFunction((0.5, -1.0), r, th0, th1, tuple(map(float, p + q * th)))
+    a = 1.1
+    rep = forms.sector_extension_check(f, a)
+
+    def dev_cubed(x):  # antiderivative of (u - a)^2 in theta
+        return (p + q * x - a) ** 3 / (3 * q)
+
+    exact_grad = 0.5 * (dev_cubed(th1) - dev_cubed(th0) + q * q * (th1 - th0))
+    assert rep.sector_gradient == pytest.approx(exact_grad, rel=1e-13, abs=0.0)
+
+    def sector_l2(b):
+        # int_0^1 ((1-t) b + t u)^2 t dt = b^2/12 + b u/6 + u^2/4, integrated in theta
+        def g(x):
+            u = p + q * x
+            return b * b * x / 12 + b * (p * x + q * x * x / 2) / 6 + u**3 / (12 * q)
+
+        return r * r * (g(th1) - g(th0))
+
+    assert rep.sector_l2[0.0] == pytest.approx(sector_l2(0.0), rel=1e-13, abs=0.0)
+    assert rep.sector_l2[rep.mean] == pytest.approx(sector_l2(rep.mean), rel=1e-13, abs=0.0)
+
+
+def test_sector_check_matches_2d_midpoint_oracle():
+    # brute-force midpoint sum of |grad I_a u|^2 and (I_a u)^2 over a
+    # (t, theta) grid, area weight r^2 t, for seeded random arc functions;
+    # 40 theta cells per sample interval, so no cell straddles a kink of u
+    rng = np.random.default_rng(7)
+    n_t, n_th = 2000, 63 * 40
+    for _ in range(3):
+        r = float(rng.uniform(0.2, 3.0))
+        th0 = float(rng.uniform(-math.pi, math.pi))
+        span = float(rng.uniform(0.3, 2 * math.pi))
+        coef = rng.standard_normal(5)
+        nodes = np.linspace(th0, th0 + span, 64)
+        u = (
+            coef[0]
+            + coef[1] * np.cos(nodes)
+            + coef[2] * np.sin(nodes)
+            + coef[3] * np.cos(2 * nodes)
+            + coef[4] * np.sin(3 * nodes)
+        )
+        f = forms.ArcSegmentFunction((0.0, 0.0), r, th0, th0 + span, tuple(map(float, u)))
+        a = float(rng.uniform(u.min(), u.max()))
+        rep = forms.sector_extension_check(f, a)
+
+        th = th0 + (np.arange(n_th) + 0.5) * span / n_th
+        u_th = np.interp(th, nodes, u)
+        k = np.minimum(((th - th0) / (nodes[1] - nodes[0])).astype(int), len(nodes) - 2)
+        du_th = (u[k + 1] - u[k]) / (nodes[k + 1] - nodes[k])
+        grad = l2 = 0.0
+        for t in np.array_split((np.arange(n_t) + 0.5) / n_t, 10):
+            t = t[:, None]
+            weight = r * r * t * (1.0 / n_t) * (span / n_th)
+            grad_sq = ((u_th - a) ** 2 + du_th**2) / (r * r)  # |grad I_a u|^2
+            grad += float(np.sum(grad_sq * weight))
+            l2 += float(np.sum((t * u_th) ** 2 * weight))  # (I_0 u)^2
+        assert rep.sector_gradient == pytest.approx(grad, rel=1e-5)
+        assert rep.sector_l2[0.0] == pytest.approx(l2, rel=1e-5)
 
 
 def test_sector_check_requires_a_in_range():
