@@ -1,8 +1,9 @@
 """Command line front end: construction, spectra, checks, carpet orbits.
 
-Heavy imports happen inside main() so that --threads can pin the BLAS pool
-before numpy is loaded.  All numeric output uses 17 significant digits and
-fixed seeds, so identical invocations produce identical bytes.
+Heavy imports happen inside main(), and ``import gasketlab`` loads no
+submodule, so --threads pins the BLAS pool before numpy is loaded.  All
+numeric output uses 17 significant digits and fixed seeds, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -326,22 +327,14 @@ def _cmd_checks(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # pin thread pools before numpy gets imported anywhere below; the flag
-    # comes as "--threads N" or "--threads=N"
-    flat = [
-        x for tok in argv for x in (tok.split("=", 1) if tok.startswith("--threads=") else [tok])
-    ]
-    if "--threads" in flat:
-        idx = flat.index("--threads")
-        if idx + 1 < len(flat) and flat[idx + 1].isdigit() and int(flat[idx + 1]) > 0:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = flat[idx + 1]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    if args.threads > 0:  # before numpy is first imported below
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = str(args.threads)
 
     from .errors import GasketLabError
 

@@ -99,11 +99,18 @@ def disk_to_json(d: GeneralizedDisk) -> dict:
 
 
 def disk_from_json(obj: dict) -> GeneralizedDisk:
-    if obj["type"] == "disk":
-        return disk(tuple(obj["center"]), obj["radius"])
-    if obj["type"] == "halfplane":
-        return halfplane(tuple(obj["normal"]), obj["offset"])
-    raise ValueError(f"unknown disk type {obj.get('type')!r}")
+    """Inverse of ``disk_to_json``; ``ValueError`` names a malformed entry."""
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    keys = {"disk": ("center", "radius"), "halfplane": ("normal", "offset")}.get(kind)
+    if keys is None:
+        raise ValueError(f"a disk must be an object of type disk or halfplane, got {obj!r}")
+    if any(key not in obj for key in keys):
+        raise ValueError(f"a {kind} needs {keys[0]!r} and {keys[1]!r}, got {obj!r}")
+    point, value = obj[keys[0]], obj[keys[1]]
+    if not (isinstance(point, (list, tuple)) and len(point) == 2
+            and all(isinstance(x, (int, float)) for x in (*point, value))):
+        raise ValueError(f"a {kind} needs two numbers as {keys[0]!r} and a number as {keys[1]!r}")
+    return (disk if kind == "disk" else halfplane)(tuple(point), value)
 
 
 # ---------------------------------------------------------------------------

@@ -283,67 +283,48 @@ def _split(lo: float, hi: float) -> float:
     return math.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
 
 
-def _place_bounds(A: sp.csr_matrix, k: int, top: float) -> list[tuple[float, int, list]]:
-    """Upper slice bounds for the k lowest eigenvalues, by bisection on the count.
-
-    With S = ceil((k+1) / SLICE_SIZE) slices the targets are i * ceil((k+1) / S)
-    and, last, k + 1.  Each bound is the lowest counted shift whose count
-    reaches its target; the bracket between the nearest counted shifts is split
-    until that count is at most ``step // 8`` above the target, or the bracket
-    is too narrow (1e-4 relative) to hold a moved split point, or a split
-    point cannot be counted even after its moves (it lies in the roundoff
-    band of a cluster, such as the zero modes of a disconnected pencil): the
-    slice then keeps the larger count of the nearest bound above.  The bracket
-    starts as [-1e-12 top, top]: the pencil is semidefinite and ``top``
-    bounds the spectrum; ``top`` is counted too, so every bound is a counted
-    shift.  Returns (bound, count, moves) per target.
-    """
-    n_slices = math.ceil((k + 1) / SLICE_SIZE)
-    step = math.ceil((k + 1) / n_slices)
-    width = BOUND_STEP_RTOL * 10.0**BOUND_MOVES
-    top_moves = []
-    counted = [(-1e-12 * top, 0, []), (*_clear_count(A, top, top_moves), top_moves)]
-    placed = []
-    for target in [i * step for i in range(1, n_slices)] + [k + 1]:
-        while True:
-            j = bisect_left([c for _, c, _ in counted], target)
-            (lo, _, _), (hi, count, _) = counted[j - 1], counted[j]
-            if count <= target + step // 8 or hi - lo <= width * hi:
-                break
-            moves = []
-            try:
-                entry = (*_clear_count(A, _split(lo, hi), moves), moves)
-            except NotConverged:  # the split lies in the roundoff band of a cluster
-                break
-            insort(counted, entry, key=lambda e: e[0])
-        placed.append(counted[j])
-    return placed
-
-
 def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
-    Bounds are placed by bisection on ``count_below`` (``_place_bounds``),
-    so a slice must hold exactly the eigenvalues its two counts promise; the
-    lowest bound, -1e-12 top, lies below the semidefinite spectrum.  A bound
-    whose count is refused, or within ``BOUND_CLUSTER_RTOL`` of a computed
-    eigenvalue, is moved up.  Returns the eigenpairs and per slice its
-    bounds, count, last ``k`` requested, attempts and moves of ``hi``.
+    With S = ceil((k+1) / SLICE_SIZE) slices the targets are i * ceil((k+1) / S)
+    and, last, k + 1.  For each target the loop places the slice's upper bound,
+    solves the slice and moves on, until a count reaches k.  The bound is the
+    lowest counted shift whose ``count_below`` reaches the target: the bracket
+    between the nearest counted shifts is split until that count is at most
+    ``step // 8`` above it, or the bracket is too narrow (1e-4 relative) to
+    hold a moved split point, or a split point cannot be counted even after
+    its moves (the roundoff band of a cluster, such as the zero modes of a
+    disconnected pencil).  The bracket starts as [-1e-12 top, top] around the
+    semidefinite spectrum, so every bound is a counted shift and a slice holds
+    exactly the eigenvalues its two counts promise.  A bound whose count is
+    refused, or within ``BOUND_CLUSTER_RTOL`` of a computed eigenvalue, is
+    moved up.  Returns the eigenpairs and per slice its bounds, count, last
+    ``k`` requested, attempts and moves of ``hi``.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
-
-    placed = _place_bounds(A, k, top)
-    bounds = [-1e-12 * top] + [b for b, _, _ in placed]
-    counts = [0] + [c for _, c, _ in placed]
-    moves = [m for _, _, m in placed]
-
+    n_slices = math.ceil((k + 1) / SLICE_SIZE)
+    step = math.ceil((k + 1) / n_slices)
+    width = BOUND_STEP_RTOL * 10.0**BOUND_MOVES
+    hi, c_hi, top_moves = -1e-12 * top, 0, []  # the first slice starts at this hi
+    counted = [(hi, c_hi, []), (*_clear_count(A, top, top_moves), top_moves)]
     slices, lams_all, vecs_all = [], [], []
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        want = counts[i + 1] - counts[i]
-        record = dict(lo=lo, hi=hi, count=want, k_requested=0, attempts=0, moves=moves[i])
+    for target in [i * step for i in range(1, n_slices)] + [k + 1]:
+        lo, c_lo = hi, c_hi
+        while True:
+            j = bisect_left([c for _, c, _ in counted], target)
+            (below, _, _), (hi, c_hi, moves) = counted[j - 1], counted[j]
+            if c_hi <= target + step // 8 or hi - below <= width * hi:
+                break
+            split_moves = []
+            try:
+                entry = (*_clear_count(A, _split(below, hi), split_moves), split_moves)
+            except NotConverged:  # the split lies in the roundoff band of a cluster
+                break
+            insort(counted, entry, key=lambda e: e[0])
+        want = c_hi - c_lo
+        record = dict(lo=lo, hi=hi, count=want, k_requested=0, attempts=0, moves=moves)
         slices.append(record)
         if want <= 0:
             continue
@@ -355,9 +336,9 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
             record.update(k_requested=k_req, attempts=attempt + 1)
             # never split a roundoff cluster at the top of the window
             while np.any(np.abs(lam_i - hi) <= BOUND_CLUSTER_RTOL * abs(hi)):
-                hi, counts[i + 1] = _clear_count(A, _moved(hi, moves[i]), moves[i])
-            bounds[i + 1] = record["hi"] = hi
-            want = record["count"] = counts[i + 1] - counts[i]
+                hi, c_hi = _clear_count(A, _moved(hi, moves), moves)
+            record["hi"] = hi
+            want = record["count"] = c_hi - c_lo
             # half-open window matching the inertia difference #[lo, hi)
             sel = (lam_i >= lo) & (lam_i < hi)
             if int(sel.sum()) == want:
@@ -368,10 +349,10 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
                                partial=np.sort(np.concatenate([np.empty(0), *lams_all])))
         lams_all.append(lam_i[sel])
         vecs_all.append(y_i[:, sel])
-        if counts[i + 1] >= k:
+        if c_hi >= k:
             break
 
-    # kept slices hold exactly their counts and counts[-1] > k: k or more kept
+    # kept slices hold exactly their counts and the last count reaches k: k or more kept
     lams = np.concatenate(lams_all)
     Y = np.hstack(vecs_all)
     order = np.argsort(lams)[:k]

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -174,7 +176,35 @@ def test_nonfinite_or_nonpositive_triple_exit_one(capsys, triple):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"]])
+@pytest.mark.parametrize(
+    "triple",
+    [
+        '[{"type": "disk", "center": [0, 0]}, {"type": "disk", "center": [2, 0], "radius": 1},'
+        ' {"type": "disk", "center": [1, 1.7320508075688772], "radius": 1}]',
+        '[{"center": [0, 0], "radius": 1}, {"type": "disk", "center": [2, 0], "radius": 1},'
+        ' {"type": "disk", "center": [1, 1.7320508075688772], "radius": 1}]',
+        '[{"type": "halfplane", "normal": [0, -1]}, {"type": "disk", "center": [0, 1],'
+        ' "radius": 1}, {"type": "disk", "center": [2, 1], "radius": 1}]',
+        '[{"type": "disk", "center": [0], "radius": 1}, {"type": "disk", "center": [2, 0],'
+        ' "radius": 1}, {"type": "disk", "center": [1, 1.7320508075688772], "radius": 1}]',
+        "[1, 2, 3]",
+    ],
+    ids=["no radius", "no type", "no offset", "short center", "not objects"],
+)
+def test_malformed_json_triple_exit_one(capsys, triple):
+    code, out, err = run_cli(capsys, "gasket", "count", "--triple", triple)
+    assert code == 1 and out == ""
+    assert err.startswith("error: a ") and err.count("\n") == 1
+
+
+def test_import_cli_loads_no_numpy():
+    # --threads must be able to pin BLAS before numpy is first imported
+    code = "import sys, gasketlab.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"], ["--thr", "2"]])
 def test_threads_flag_pins_blas(capsys, monkeypatch, flag):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "7")  # restored after the test

@@ -277,6 +277,33 @@ def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, monkeypatch, k)
     assert first["count"] == 6 and 0.0 < first["hi"] < 1e-8 * s.meta["lambda_scale"]
 
 
+def test_slice_loop_places_no_bound_past_k(unit_triple, monkeypatch):
+    # with SLICE_SIZE 2 and k = 4 the targets are 2, 4 and 5, but the first
+    # slice keeps the whole zero cluster of count 6 >= k, so the loop stops
+    # there and bisects toward no later target: as many counts as one slice
+    block = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
+    evp = spectra.GeneralizedEVP(
+        sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
+    )
+    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 50)
+    count_below, calls = spectra.count_below, []
+
+    def counting(A, sigma):
+        calls.append(sigma)
+        return count_below(A, sigma)
+
+    monkeypatch.setattr(spectra, "count_below", counting)
+    n_calls = []
+    for size in (spectra.SLICE_SIZE, 2):
+        monkeypatch.setattr(spectra, "SLICE_SIZE", size)
+        calls.clear()
+        s = spectra.solve(evp, how_many=4, allow_disconnected=True)
+        n_calls.append(len(calls))
+        assert np.array_equal(s.eigenvalues, np.zeros(4))
+        assert [sl["count"] for sl in s.meta["slices"]] == [6]
+    assert n_calls[1] == n_calls[0] > 0
+
+
 def test_slice_placement_by_bisection(unit_triple, monkeypatch):
     # trace m=7, k=1000: five slices of at most step + step // 8 eigenvalues
     # (the bisection tolerance), each bound a shift that count_below counted,
@@ -395,6 +422,29 @@ def test_interlacing_violation_detected():
     evp = _pencil([[2.0, -1.0], [-1.0, 2.0]], [1.0, 1.0])
     rep = spectra.interlacing_check(evp, (0,))
     assert rep.ok  # sanity: genuine pencils always interlace
+
+
+@pytest.mark.parametrize(
+    "lam_free, lam_v, index, side",
+    [
+        ([0.0, 1.0, 2.0, 3.0], [0.5, 0.9, 2.5], 2, "lower"),  # lam_2 > lam_2^V
+        ([0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 3.5], 3, "upper"),  # lam_3^V > lam_4
+        ([0.0, 2.0, 1.0, 3.0], [0.5, 1.5, 2.5], 2, "lower"),  # both fail at n=2
+    ],
+)
+def test_interlacing_check_raises_violation(monkeypatch, lam_free, lam_v, index, side):
+    # solve() always interlaces, so it is replaced by crafted spectra: the
+    # constrained pencil (V = {0}) gets lam_v, the free one lam_free
+    def crafted(evp, how_many=None, allow_disconnected=False, seed=0):
+        return spectra.Spectrum(np.array(lam_v if evp.boundary else lam_free), {})
+
+    monkeypatch.setattr(spectra, "solve", crafted)
+    path = [[1.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, 0.0],
+            [0.0, -1.0, 2.0, -1.0], [0.0, 0.0, -1.0, 1.0]]
+    with pytest.raises(InterlacingViolation) as caught:
+        spectra.interlacing_check(_pencil(path, np.ones(4)), (0,))
+    assert caught.value.index == index
+    assert str(caught.value) == f"{side} interlacing fails at n={index}"
 
 
 def test_scaling_check(unit_triple):
