@@ -1,20 +1,20 @@
 """Generalized eigenproblems K u = lambda M u for the discrete energy forms.
 
-Small problems go through a dense full tridiagonalization solved by LAPACK's
-divide-and-conquer driver (``syevd``), the fastest one when every
-eigenvector is wanted; it overwrites our own Fortran-order copy of the
-pencil, so f2py makes no second n x n copy.  Above the dense threshold a
-shift-invert Lanczos path computes spectrum slices.  Their bounds are
-placed by bisection on sparse Sylvester inertia counts of K - sigma M, and
-the same counts certify each slice complete at every size; every reported
-pair carries a residual certificate, computed in column blocks.
+Requests for k >= DENSE_KN2 * n**2 of n eigenvalues go through a dense full
+tridiagonalization solved by LAPACK's divide-and-conquer driver (``syevd``),
+the fastest one when every eigenvector is wanted; it overwrites our own
+Fortran-order copy of the pencil, so f2py makes no second n x n copy.
+Smaller requests go through shift-invert Lanczos spectrum slices, whose
+bounds are placed by count-guided splits on sparse Sylvester inertia counts
+of K - sigma M; the same counts certify each slice complete at every size.
+Every reported pair carries a residual certificate, computed in column blocks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,16 +35,20 @@ from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form
 from .gasket import apply_word, build_complex, index_set_I, word_index
 from .geom import DiskTriple, transform_triple
 
-# Dense (syevd) against sliced solve time in s, unit triple, one BLAS thread
-# on a 2-core Xeon, one run each (BENCH_7.json):
-#   n_free 1,092 (trace m=6):        k=100 0.29 / 0.14, k=300 0.29 / 0.57, k=1000 0.29 / 2.65
-#   n_free 1,821 (arc FEM m=5, r=3): k=100 1.32 / 0.20, k=300 1.27 / 0.79, k=1000 1.23 / 3.84
-#   n_free 3,279 (trace m=7):        k=100 6.28 / 0.42, k=300 6.16 / 1.41, k=1000 6.05 / 5.89
-# The crossover lies near k = 0.15-0.3 n_free, so a rule in n alone sends
-# small-k requests below the threshold through the slower dense path; it
-# stays until a rule in n and k shows a gain on a workload.
-DENSE_THRESHOLD = 3000
-SLICE_SIZE = 220  # eigenvalues aimed at per shift-invert slice
+# Dense (syevd) against sliced solve time in s at slice size 48, unit triple,
+# one BLAS thread on a 2-core Xeon, best of two runs (BENCH_11.json):
+#   n_free   363 (trace m=5):        dense 0.009; sliced k=10 0.006, k=30 0.009, k=100 0.026
+#   n_free 1,092 (trace m=6):        dense 0.144; k=100 0.051, k=300 0.148, k=500 0.265
+#   n_free 1,821 (arc FEM m=5, r=3): dense 0.62; k=500 0.39, k=700 0.56, k=1000 0.86
+#   n_free 2,550 (arc FEM m=5, r=4): dense 1.63; k=1000 1.17, k=1500 1.84
+#   n_free 3,279 (trace m=7):        dense 3.35; k=1000 1.86, k=1500 2.96, k=2000 4.06
+# The crossover k / n_free**2 is 2.1-2.5e-4 up to n_free 2,550 and 1.6e-4 at
+# 3,279; 1.8e-4 leans to the large sizes, where a wrong route costs the most.
+DENSE_KN2 = 1.8e-4  # dense from k = DENSE_KN2 * n_free**2, sliced below
+# From a sweep of trace m = 7, 8, 9 at k = 300 and 1000 (BENCH_11.json): sizes
+# 40-64 run within 15% of each other and 1.2-1.8x faster than 220, as ARPACK's
+# cost per slice grows with the square of its ncv = 2k + 1.
+SLICE_SIZE = 48  # eigenvalues aimed at per shift-invert slice
 RESIDUAL_RTOL = 1e-8
 RESIDUAL_BLOCK = 128  # eigenvector columns per block of the residual certificate
 PIVOT_RTOL = 1e-12  # min/max |pivot| below this: the shift sits on an eigenvalue
@@ -208,15 +212,15 @@ def solve(
 ) -> Spectrum:
     """Lowest eigenvalues of the pencil (K, diag(mass)) on the free vertices.
 
-    ``how_many=None`` returns the full spectrum.  Problems with at most
-    ``DENSE_THRESHOLD`` free vertices (the module constant, read at call
-    time), and any full-spectrum request, are solved by dense divide and
+    ``how_many=None`` returns the full spectrum.  A request for k of n free
+    eigenvalues with k >= ``DENSE_KN2`` * n**2 (the module constant, read at
+    call time), and any full-spectrum request, is solved by dense divide and
     conquer (LAPACK ``syevd``) on a Fortran-order copy of the pencil that
     LAPACK overwrites, which saves the copy f2py would make of a C-order
-    array; larger partial requests go through
-    shift-invert Lanczos slices whose completeness is verified by sparse
-    inertia counts.  Either way ``meta["inertia_verified"]`` is True; the
-    sliced path also records its slices under ``meta["slices"]``.
+    array; smaller requests go through shift-invert Lanczos slices whose
+    completeness is verified by sparse inertia counts.  Either way
+    ``meta["inertia_verified"]`` is True; the sliced path also records its
+    slices under ``meta["slices"]``.
     """
     if how_many is not None and how_many < 0:
         raise ValueError(f"how_many must be non-negative, got {how_many}")
@@ -228,7 +232,7 @@ def solve(
 
     meta = dict(evp.meta)
     meta.update({"boundary": tuple(evp.boundary), "n_free": n})
-    meta["method"] = "dense" if n <= DENSE_THRESHOLD or k == n else "lanczos-shift-invert"
+    meta["method"] = "dense" if k == n or k >= DENSE_KN2 * n * n else "lanczos-shift-invert"
 
     if k == 0:  # nothing asked: no factorization on either path
         lams, Y = np.empty(0), np.empty((n, 0))
@@ -283,6 +287,21 @@ def _split(lo: float, hi: float) -> float:
     return math.sqrt(lo * hi) if lo > 0.0 else 0.5 * (lo + hi)
 
 
+def _guess(lo: float, c_lo: int, hi: float, c_hi: int, target: float) -> float:
+    """Shift where the power law through (lo, c_lo), (hi, c_hi) reaches ``target``.
+
+    No power law passes through a shift or count that is not positive; there
+    the guess is one eigenvalue above ``lo`` on the straight line, whatever
+    the target, to find a positive count.  A guess outside (lo, hi) is
+    ``_split``'s.
+    """
+    if lo > 0.0 and c_lo > 0:
+        x = lo * (hi / lo) ** (math.log(target / c_lo) / math.log(c_hi / c_lo))
+    else:
+        x = lo + (hi - lo) / (c_hi - c_lo)
+    return x if lo < x < hi else _split(lo, hi)
+
+
 def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
@@ -294,12 +313,14 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     ``step // 8`` above it, or the bracket is too narrow (1e-4 relative) to
     hold a moved split point, or a split point cannot be counted even after
     its moves (the roundoff band of a cluster, such as the zero modes of a
-    disconnected pencil).  The bracket starts as [-1e-12 top, top] around the
-    semidefinite spectrum, so every bound is a counted shift and a slice holds
-    exactly the eigenvalues its two counts promise.  A bound whose count is
-    refused, or within ``BOUND_CLUSTER_RTOL`` of a computed eigenvalue, is
-    moved up.  Returns the eigenpairs and per slice its bounds, count, last
-    ``k`` requested, attempts and moves of ``hi``.
+    disconnected pencil).  Each split is ``_guess``'s for target + step // 16,
+    or ``_split``'s after a guess that did not halve the bracket, so the
+    bracket halves at least every two counts.  The bracket starts as
+    [-1e-12 top, top] around the semidefinite spectrum, so every bound is a
+    counted shift and a slice holds exactly the eigenvalues its two counts
+    promise.  A bound whose count is refused, or within ``BOUND_CLUSTER_RTOL``
+    of a computed eigenvalue, is moved up.  Returns the eigenpairs and per
+    slice its bounds, count, last ``k`` requested, attempts and moves of ``hi``.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
@@ -312,17 +333,21 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     slices, lams_all, vecs_all = [], [], []
     for target in [i * step for i in range(1, n_slices)] + [k + 1]:
         lo, c_lo = hi, c_hi
+        guided = True
         while True:
             j = bisect_left([c for _, c, _ in counted], target)
-            (below, _, _), (hi, c_hi, moves) = counted[j - 1], counted[j]
+            (below, c_below, _), (hi, c_hi, moves) = counted[j - 1], counted[j]
             if c_hi <= target + step // 8 or hi - below <= width * hi:
                 break
+            mid = _split(below, hi)
+            x = _guess(below, c_below, hi, c_hi, target + step // 16) if guided else mid
             split_moves = []
             try:
-                entry = (*_clear_count(A, _split(below, hi), split_moves), split_moves)
+                x, c = _clear_count(A, x, split_moves)
             except NotConverged:  # the split lies in the roundoff band of a cluster
                 break
-            insort(counted, entry, key=lambda e: e[0])
+            insort(counted, (x, c, split_moves), key=lambda e: e[0])
+            guided = x <= mid if c >= target else x >= mid  # the bracket halved
         want = c_hi - c_lo
         record = dict(lo=lo, hi=hi, count=want, k_requested=0, attempts=0, moves=moves)
         slices.append(record)
@@ -371,7 +396,7 @@ def counting(s: Spectrum, lam: float) -> int:
             f"counting at {lam:.4g} above the trust ceiling {ceiling:.4g}",
             AboveTrustCeiling,
         )
-    return int(bisect_right(list(s.eigenvalues), lam))
+    return int(np.searchsorted(s.eigenvalues, lam, side="right"))
 
 
 def trust_ceiling(s: Spectrum) -> float:

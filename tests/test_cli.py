@@ -133,7 +133,7 @@ def test_checks_interlacing_violation_exit_two(capsys, monkeypatch):
 
 
 def test_spectrum_not_converged_exit_one(capsys, monkeypatch, short_eigsh):
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     code, out, err = run_cli(capsys, "spectrum", "--depth", "5", "--top", "150")
     assert code == 1
     assert out == ""

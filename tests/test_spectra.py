@@ -105,7 +105,7 @@ def test_iterative_path_matches_dense(unit_triple, monkeypatch):
     evp = spectra.evp_from_trace(unit_triple, 5)
     dense = spectra.solve(evp).eigenvalues
     k = 150
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     it = spectra.solve(evp, how_many=k)
     assert it.meta["method"] == "lanczos-shift-invert"
     assert it.meta["inertia_verified"]
@@ -237,21 +237,23 @@ def test_slice_bound_on_double_eigenvalue(unit_triple, monkeypatch, offset):
     _, _, _, A_block = spectra._free_pencil(
         spectra.GeneralizedEVP(block.stiffness, block.mass, (0, 1, 2)), False
     )
-    # k = 220 gives two slices and a first target of 111 eigenvalues; the
-    # double block eigenvalue 55 is the 111th and 112th of the pair
+    # slices of 220 and k = 220 give two slices and a first target of 111
+    # eigenvalues; the double block eigenvalue 55 is the 111th and 112th of
+    # the pair
     double = float(np.linalg.eigvalsh(A_block.toarray())[55]) * (1.0 + offset)
-    split, forced = spectra._split, []
+    guess, forced = spectra._guess, []
 
-    def split_onto_double(lo, hi):
+    def guess_onto_double(lo, c_lo, hi, c_hi, target):
         if not forced and lo < double < hi:
             forced.append((lo, hi))
             return double
-        return split(lo, hi)
+        return guess(lo, c_lo, hi, c_hi, target)
 
-    monkeypatch.setattr(spectra, "_split", split_onto_double)
+    monkeypatch.setattr(spectra, "_guess", guess_onto_double)
+    monkeypatch.setattr(spectra, "SLICE_SIZE", 220)
     k = 220
     dense = spectra.solve(evp, allow_disconnected=True).eigenvalues
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 50)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     it = spectra.solve(evp, how_many=k, allow_disconnected=True)
     assert forced and it.meta["inertia_verified"]
     assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
@@ -269,7 +271,7 @@ def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, monkeypatch, k)
     evp = spectra.GeneralizedEVP(
         sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
     )
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 50)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     s = spectra.solve(evp, how_many=k, allow_disconnected=True)
     assert s.meta["method"] == "lanczos-shift-invert" and s.meta["inertia_verified"]
     assert np.array_equal(s.eigenvalues, np.zeros(k))
@@ -285,7 +287,7 @@ def test_slice_loop_places_no_bound_past_k(unit_triple, monkeypatch):
     evp = spectra.GeneralizedEVP(
         sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
     )
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 50)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     count_below, calls = spectra.count_below, []
 
     def counting(A, sigma):
@@ -304,10 +306,10 @@ def test_slice_loop_places_no_bound_past_k(unit_triple, monkeypatch):
     assert n_calls[1] == n_calls[0] > 0
 
 
-def test_slice_placement_by_bisection(unit_triple, monkeypatch):
-    # trace m=7, k=1000: five slices of at most step + step // 8 eigenvalues
-    # (the bisection tolerance), each bound a shift that count_below counted,
-    # and no eigsh call beyond one per slice
+def test_slice_placement_by_counts(unit_triple, monkeypatch):
+    # trace m=7, k=1000: ceil(1001 / SLICE_SIZE) slices of at most
+    # step + step // 8 eigenvalues (the placement tolerance), each bound a
+    # shift that count_below counted, and no eigsh call beyond one per slice
     evp = spectra.evp_from_trace(unit_triple, 7)
     k = 1000
     n_slices = math.ceil((k + 1) / spectra.SLICE_SIZE)
@@ -340,9 +342,48 @@ def test_slice_placement_by_bisection(unit_triple, monkeypatch):
         assert len(eigsh_calls) == sum(sl["count"] > 0 for sl in slices)
 
 
+def test_guided_bounds_take_fewer_counts_than_bisection(unit_triple, monkeypatch):
+    # trace m=7, k=300 at SLICE_SIZE 48: the guided bounds take 17 counts,
+    # bisection toward the same targets (the placement before guided
+    # splits) takes 27; both place every bound on a counted shift
+    evp = spectra.evp_from_trace(unit_triple, 7)
+    count_below, calls = spectra.count_below, []
+
+    def counting(A, sigma):
+        calls.append(sigma)
+        return count_below(A, sigma)
+
+    monkeypatch.setattr(spectra, "count_below", counting)
+    s = spectra.solve(evp, how_many=300)
+    assert s.meta["method"] == "lanczos-shift-invert" and s.meta["inertia_verified"]
+    guided = len(calls)
+    calls.clear()
+    monkeypatch.setattr(spectra, "_guess", lambda lo, c_lo, hi, c_hi, t: spectra._split(lo, hi))
+    bisected = spectra.solve(evp, how_many=300)
+    assert len(calls) > guided
+    assert np.max(np.abs(bisected.eigenvalues - s.eigenvalues) / s.eigenvalues) < 1e-9
+
+
+def test_routing_in_n_and_k(unit_triple):
+    # the benchmark's spectra solves keep their paths; trace m=6 (n_free
+    # 1,092) with k=100 lies below the crossover and goes sliced
+    for evp, k, method in [
+        (spectra.evp_from_trace(unit_triple, 7), 300, "lanczos-shift-invert"),
+        (spectra.evp_from_arc_fem(unit_triple, 5, 3), 1000, "dense"),
+        (spectra.evp_from_trace(unit_triple, 5), None, "dense"),
+    ]:
+        assert spectra.solve(evp, how_many=k).meta["method"] == method
+    trace6 = spectra.evp_from_trace(unit_triple, 6)
+    dense = spectra.solve(trace6)
+    assert dense.meta["method"] == "dense"
+    s = spectra.solve(trace6, how_many=100)
+    assert s.meta["method"] == "lanczos-shift-invert" and s.meta["inertia_verified"]
+    assert np.max(np.abs(s.eigenvalues - dense.eigenvalues[:100]) / dense.eigenvalues[:100]) < 1e-9
+
+
 def test_sliced_not_converged_when_slices_come_short(unit_triple, monkeypatch, short_eigsh):
     evp = spectra.evp_from_trace(unit_triple, 5)
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     with pytest.raises(NotConverged, match="kept missing") as caught:
         spectra.solve(evp, how_many=150)
     assert len(caught.value.partial) == 0  # the first slice already came short
@@ -354,7 +395,7 @@ def test_sliced_not_converged_keeps_finished_slices(unit_triple, monkeypatch, sh
     evp = spectra.evp_from_trace(unit_triple, 5)
     dense = spectra.solve(evp).eigenvalues
     short_eigsh.honest = 100
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", 100)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     first_hi = spectra.solve(evp, how_many=300).meta["slices"][0]["hi"]
     short_eigsh.honest = 1
     with pytest.raises(NotConverged, match="kept missing") as caught:
@@ -365,10 +406,10 @@ def test_sliced_not_converged_keeps_finished_slices(unit_triple, monkeypatch, sh
     assert np.max(np.abs(partial - below) / below) < 1e-9
 
 
-@pytest.mark.parametrize("dense_threshold", [3000, 10])
-def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_threshold):
+@pytest.mark.parametrize("dense_kn2", [0.0, 1.0])
+def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_kn2):
     evp = spectra.evp_from_trace(unit_triple, 3)  # 39 free vertices
-    monkeypatch.setattr(spectra, "DENSE_THRESHOLD", dense_threshold)
+    monkeypatch.setattr(spectra, "DENSE_KN2", dense_kn2)
     with pytest.raises(ValueError, match="non-negative"):
         spectra.solve(evp, how_many=-5)
 
@@ -380,7 +421,7 @@ def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_threshold):
     monkeypatch.setattr(spectra.spla, "eigsh", no_factorization)
     s = spectra.solve(evp, how_many=0)
     assert len(s) == 0 and s.meta["inertia_verified"] and s.meta["trust_ceiling"] is None
-    assert s.meta["method"] == ("dense" if dense_threshold > 39 else "lanczos-shift-invert")
+    assert s.meta["method"] == ("dense" if dense_kn2 == 0.0 else "lanczos-shift-invert")
 
 
 def test_dirichlet_monotonicity(unit_triple):
