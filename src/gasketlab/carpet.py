@@ -162,8 +162,8 @@ def enumerate_circles(
 
     ``cap`` bounds the stored count, checked once per generation.
     """
-    if min_radius <= 0.0:
-        raise ValueError("min_radius must be positive")
+    if not 0.0 < min_radius < math.inf:
+        raise ValueError(f"min_radius must be positive and finite, got {min_radius!r}")
     gens = generators(cfg)
     tol = 1e-9
 

@@ -255,8 +255,8 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
 
 
 def geometric_grid(lo: float, hi: float, n: int):
-    if lo <= 0 or hi <= lo or n < 2:
-        raise ValueError("need 0 < lo < hi and n >= 2")
+    if not 0 < lo < hi < math.inf or n < 2:
+        raise ValueError(f"need finite 0 < lo < hi and n >= 2, got {lo!r}, {hi!r}, {n!r}")
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return [lo * ratio**i for i in range(n)]
 

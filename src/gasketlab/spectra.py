@@ -7,7 +7,8 @@ Fortran-order copy of the pencil, so f2py makes no second n x n copy.
 Smaller requests go through shift-invert Lanczos spectrum slices, whose
 bounds are placed by count-guided splits on sparse Sylvester inertia counts
 of K - sigma M; the same counts certify each slice complete at every size.
-Every reported pair carries a residual certificate, computed in column blocks.
+Only eigenvalues are reported, with a residual certificate taken in column
+blocks, on the sliced path slice by slice; no eigenvector is returned.
 """
 
 from __future__ import annotations
@@ -161,21 +162,22 @@ def _gershgorin_upper(A: sp.csr_matrix) -> float:
     return float(absA.sum(axis=1).max())
 
 
-def _residual_max(K, d, lams, Y, s):
+def _residual_max(K, d, lams, Y):
     """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} y.
 
-    The k columns are taken in ceil(k / RESIDUAL_BLOCK) near-equal blocks, so
-    the temporaries are n x RESIDUAL_BLOCK at most rather than n x k.  Each
-    column's norm is summed alone and in the same order as in one n x k
-    block, so the result is bit-identical to it.  No block is a single
-    column unless k = 1: numpy sums a lone column's norm pairwise instead.
+    Dense solves pass all k columns, sliced ones one slice's kept columns at
+    a time, taken in ceil(k / RESIDUAL_BLOCK) near-equal blocks.  Each column
+    keeps the bits it has in one n x k block: numpy sums a lone or F-order
+    column's norm pairwise, but a column inside a C-order block of two or
+    more sequentially, and R is C-order.  So no block is a single column
+    unless k = 1, and a sliced lone pair of k > 1 is passed twice over.
     """
     k = len(lams)
     if k == 0:
         return 0.0
     n_blocks = -(-k // RESIDUAL_BLOCK)
     edges = [k * i // n_blocks for i in range(n_blocks + 1)]
-    worst = 0.0
+    s, worst = 1.0 / np.sqrt(d), 0.0
     for a, b in zip(edges, edges[1:]):
         V = Y[:, a:b] * s[:, None]
         R = K @ V - (d[:, None] * V) * lams[None, a:b]
@@ -219,14 +221,14 @@ def solve(
     LAPACK overwrites, which saves the copy f2py would make of a C-order
     array; smaller requests go through shift-invert Lanczos slices whose
     completeness is verified by sparse inertia counts.  Either way
-    ``meta["inertia_verified"]`` is True; the sliced path also records its
+    ``meta["inertia_verified"]`` is True and ``meta["residual_max"]``
+    certifies exactly the k reported pairs; the sliced path also records its
     slices under ``meta["slices"]``.
     """
     if how_many is not None and how_many < 0:
         raise ValueError(f"how_many must be non-negative, got {how_many}")
     free, K, d, A = _free_pencil(evp, allow_disconnected)
     n = len(free)
-    s = 1.0 / np.sqrt(d)
     k = n if how_many is None else min(int(how_many), n)
     lam_scale = _gershgorin_upper(A)
 
@@ -235,20 +237,15 @@ def solve(
     meta["method"] = "dense" if k == n or k >= DENSE_KN2 * n * n else "lanczos-shift-invert"
 
     if k == 0:  # nothing asked: no factorization on either path
-        lams, Y = np.empty(0), np.empty((n, 0))
+        lams, res = np.empty(0), 0.0
     elif meta["method"] == "dense":
         # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
         lams, Y = sla.eigh(A.toarray(order="F"), driver="evd", overwrite_a=True,
                            check_finite=False)
-        lams = lams[:k]
-        Y = Y[:, :k]
+        lams, res = lams[:k], _residual_max(K, d, lams[:k], Y[:, :k])
     else:
-        lams, Y, meta["slices"] = _sliced_lanczos(A, k, lam_scale, seed)
-    meta["inertia_verified"] = True
-
-    res = _residual_max(K, d, lams, Y, s)
-    meta["residual_max"] = res
-    meta["lambda_scale"] = lam_scale
+        lams, res, meta["slices"] = _sliced_lanczos(A, K, d, k, lam_scale, seed)
+    meta.update(inertia_verified=True, residual_max=res, lambda_scale=lam_scale)
     if res > RESIDUAL_RTOL * max(lam_scale, 1e-300):
         raise NotConverged(
             f"residual {res:.3e} exceeds {RESIDUAL_RTOL:g} * lambda_max",
@@ -302,7 +299,7 @@ def _guess(lo: float, c_lo: int, hi: float, c_hi: int, target: float) -> float:
     return x if lo < x < hi else _split(lo, hi)
 
 
-def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
+def _sliced_lanczos(A: sp.csr_matrix, K, d, k: int, top: float, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
     With S = ceil((k+1) / SLICE_SIZE) slices the targets are i * ceil((k+1) / S)
@@ -319,8 +316,10 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     [-1e-12 top, top] around the semidefinite spectrum, so every bound is a
     counted shift and a slice holds exactly the eigenvalues its two counts
     promise.  A bound whose count is refused, or within ``BOUND_CLUSTER_RTOL``
-    of a computed eigenvalue, is moved up.  Returns the eigenpairs and per
-    slice its bounds, count, last ``k`` requested, attempts and moves of ``hi``.
+    of a computed eigenvalue, is moved up.  Each slice certifies the pairs it
+    keeps (the lowest, up to k) and drops its vectors.  Returns the k lowest
+    eigenvalues, ascending, the worst residual, and per slice its bounds,
+    count, last ``k`` requested, attempts and moves of ``hi``.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
@@ -330,7 +329,7 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
     width = BOUND_STEP_RTOL * 10.0**BOUND_MOVES
     hi, c_hi, top_moves = -1e-12 * top, 0, []  # the first slice starts at this hi
     counted = [(hi, c_hi, []), (*_clear_count(A, top, top_moves), top_moves)]
-    slices, lams_all, vecs_all = [], [], []
+    slices, lams_all, res = [], [], 0.0
     for target in [i * step for i in range(1, n_slices)] + [k + 1]:
         lo, c_lo = hi, c_hi
         guided = True
@@ -371,17 +370,16 @@ def _sliced_lanczos(A: sp.csr_matrix, k: int, top: float, seed: int):
             pad *= 4
         else:
             raise NotConverged(f"slice [{lo:.3e}, {hi:.3e}) kept missing eigenvalues",
-                               partial=np.sort(np.concatenate([np.empty(0), *lams_all])))
-        lams_all.append(lam_i[sel])
-        vecs_all.append(y_i[:, sel])
+                               partial=np.concatenate([np.empty(0), *lams_all]))
+        # the slices before hold exactly c_lo pairs: keep the lowest k - c_lo of this one
+        kept = np.flatnonzero(sel)[np.argsort(lam_i[sel])[: k - c_lo]]
+        lams_all.append(lam_i[kept])
+        if len(kept) == 1 < k:  # a lone pair of k > 1 goes twice (see _residual_max)
+            kept = np.repeat(kept, 2)
+        res = max(res, _residual_max(K, d, lam_i[kept], y_i[:, kept]))
         if c_hi >= k:
             break
-
-    # kept slices hold exactly their counts and the last count reaches k: k or more kept
-    lams = np.concatenate(lams_all)
-    Y = np.hstack(vecs_all)
-    order = np.argsort(lams)[:k]
-    return lams[order], Y[:, order], slices
+    return np.concatenate(lams_all), res, slices
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +402,10 @@ def trust_ceiling(s: Spectrum) -> float:
 
     Only the lower half of a discrete spectrum approximates the continuum;
     with a partial solve the ceiling is the top computed eigenvalue if that
-    comes first.
+    comes first.  An empty spectrum has none: ``InsufficientSpectrum``.
     """
+    if not len(s):
+        raise InsufficientSpectrum("no eigenvalues to trust")
     n_free = s.meta.get("n_free", len(s))
     idx = min(len(s) - 1, max(0, n_free // 2 - 1))
     return float(s.eigenvalues[idx])

@@ -197,6 +197,25 @@ def test_malformed_json_triple_exit_one(capsys, triple):
     assert err.startswith("error: a ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gasket", "count", "--lambda-max", "nan"),
+        ("gasket", "count", "--lambda-max", "inf"),
+        ("gasket", "dim", "--lambda-max", "nan"),
+        ("carpet", "gen", "--q", "8", "--min-radius", "nan"),
+        ("carpet", "gen", "--q", "8", "--min-radius", "inf"),
+        ("carpet", "harmonicity", "--q", "8", "--cutoff-coarse", "nan"),
+    ],
+)
+def test_nonfinite_bound_exit_one(capsys, argv):
+    # a NaN bound used to give NaN rows or an empty CSV with exit 0, and an
+    # infinite --lambda-max walked the whole cell tree toward the cap
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_import_cli_loads_no_numpy():
     # --threads must be able to pin BLAS before numpy is first imported
     code = "import sys, gasketlab.cli; sys.exit('numpy' in sys.modules)"

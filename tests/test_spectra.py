@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -100,6 +101,12 @@ def test_weyl_fit_needs_enough_eigenvalues():
         spectra.weyl_fit(s)
 
 
+def test_counting_on_empty_spectrum(unit_triple):
+    s = spectra.solve(spectra.evp_from_trace(unit_triple, 3), how_many=0)
+    with pytest.raises(InsufficientSpectrum):
+        spectra.counting(s, 1.0)
+
+
 def test_iterative_path_matches_dense(unit_triple, monkeypatch):
     # force the sliced Lanczos path on a mid-size problem and compare
     evp = spectra.evp_from_trace(unit_triple, 5)
@@ -158,7 +165,9 @@ def _residual_max_one_block(K, d, lams, Y, s):
     return float(np.max(_residual_columns(K, d, lams, Y, s))) if len(lams) else 0.0
 
 
-@pytest.mark.parametrize("layout", ["F", "C"])  # dense eigh / stacked slices
+# F: dense eigh, and one slice's kept columns (gathered from eigsh's output);
+# C: a C-order block, whose columns numpy sums sequentially
+@pytest.mark.parametrize("layout", ["F", "C"])
 def test_blocked_residual_is_bit_identical(unit_triple, layout):
     evp = spectra.evp_from_trace(unit_triple, 5)
     _, K, d, A = spectra._free_pencil(evp, False)
@@ -168,7 +177,7 @@ def test_blocked_residual_is_bit_identical(unit_triple, layout):
     Y = as_layout(Y)
     for k in (0, 1, 127, 128, 129, 300):
         oracle = _residual_max_one_block(K, d, lams[:k], Y[:, :k], s)
-        assert spectra._residual_max(K, d, lams[:k], Y[:, :k], s) == oracle, k
+        assert spectra._residual_max(K, d, lams[:k], Y[:, :k]) == oracle, k
     # numpy sums the norm of a lone column pairwise, so a one-column tail
     # block would change bits: make such a column the worst of 129, and last
     in_block = _residual_columns(K, d, lams, Y, s)
@@ -180,7 +189,57 @@ def test_blocked_residual_is_bit_identical(unit_triple, layout):
     Y_w = as_layout(Y[:, order])
     oracle = _residual_max_one_block(K, d, lams[order], Y_w, s)
     assert oracle == in_block[worst] != alone[worst]
-    assert spectra._residual_max(K, d, lams[order], Y_w, s) == oracle
+    assert spectra._residual_max(K, d, lams[order], Y_w) == oracle
+
+
+def test_slice_certificates_have_one_block_bits(unit_triple, monkeypatch):
+    # each slice certifies only the pairs it keeps and drops them; the
+    # certificates must carry the bits of one n x k block over all k pairs.
+    # Six free trace m=4 blocks in slices of 4 cut the last slice down to
+    # one kept pair at k = 49 (with numpy 2.4 its lone norm changes bits)
+    block = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
+    evp = spectra.GeneralizedEVP(
+        sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
+    )
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
+    monkeypatch.setattr(spectra, "SLICE_SIZE", 4)
+    residual_max, certified = spectra._residual_max, []
+
+    def spy(K, d, lams, Y):
+        certified.append((lams, Y, residual_max(K, d, lams, Y)))
+        return certified[-1][2]
+
+    monkeypatch.setattr(spectra, "_residual_max", spy)
+    k = 49
+    spec = spectra.solve(evp, how_many=k, allow_disconnected=True)
+    assert sum(sl["count"] for sl in spec.meta["slices"][:-1]) == k - 1
+    lone_lams, lone_Y, worst = certified[-1]
+    certified[-1] = (lone_lams[:1], lone_Y[:, :1], worst)  # its one pair, once
+    lams = np.concatenate([c[0] for c in certified])
+    assert len(lams) == k and np.all(np.diff(lams) >= 0.0)
+    _, K, d, _ = spectra._free_pencil(evp, True)
+    Y = np.asfortranarray(np.hstack([c[1] for c in certified]))
+    in_block = _residual_columns(K, d, lams, Y, 1.0 / np.sqrt(d))
+    edges = np.cumsum([0] + [len(c[0]) for c in certified])
+    assert [c[2] for c in certified] == [in_block[a:b].max() for a, b in zip(edges, edges[1:])]
+    assert spec.meta["residual_max"] == in_block.max()
+
+
+def test_sliced_solve_holds_no_n_by_k_array(unit_triple, monkeypatch):
+    # the slices drop their vectors once certified: the traced peak of a
+    # forced sliced solve (about 3.4 MB) stays below one n x k float64 array
+    # (5.2 MB here)
+    evp = spectra.evp_from_trace(unit_triple, 6)
+    k = 600
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
+    tracemalloc.start()
+    try:
+        spec = spectra.solve(evp, how_many=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.meta["method"] == "lanczos-shift-invert" and len(spec) == k
+    assert peak < evp.n_free * k * 8
 
 
 def test_inertia_consistency_random_shifts(unit_triple, rng):
