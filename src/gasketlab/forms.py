@@ -140,47 +140,49 @@ def assemble_mass_trace(
 ) -> MassVector:
     """Lump a discrete volume measure onto the tangency vertex set V_m.
 
+    All schemes read only the depth-m quadruples.  A cell's center triangle
+    has sides r_i + r_j (r = 1/a) and semiperimeter s = r_1 + r_2 + r_3; as
+    kappa^2 = a_1 a_2 + a_2 a_3 + a_3 a_1, Heron's formula gives its area
+    sqrt(s r_1 r_2 r_3) = kappa / (a_1 a_2 a_3), and the half-angle formula
+    its angle theta_j at member j, which the cell's arc on member j sweeps:
+    tan(theta_j / 2) = sqrt(r_k r_l / (s r_j)) = a_j / kappa.  That arc has
+    length theta_j / a_j and measure rad*len = theta_j / a_j^2.
+
     ``thirds`` splits each cell measure 2*vol2(center triangle) equally over
     its three vertices and ``arclen`` splits it in proportion to the boundary
     arc lengths meeting at each vertex; child center triangles tile the
     parent one, so both totals equal 2*vol2 of the root center triangle at
-    every depth.  ``mu`` instead lumps the arc measure rad*length of the
-    depth-m arc family itself, half a piece to each piece endpoint; its
-    total is the truncated arc measure (slightly below 2*vol2) but it keeps
-    the local mass-to-stiffness ratios of the continuum, which the cell
-    lumpings distort badly high in the spectrum.
+    every depth.  ``mu`` instead lumps the measure of the depth-m arcs (each
+    bounds one depth-m cell), half an arc to each end; its total is the
+    truncated arc measure (slightly below 2*vol2) but it keeps the local
+    mass-to-stiffness ratios of the continuum, which the cell lumpings
+    distort badly high in the spectrum.
     """
     if not t.is_bounded:
         raise HalfPlanePresent("trace mass needs three bounded disks")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
+    area, lens = _cell_shape(cx.quads[m])
+    # the weight each scheme puts on either end of each cell boundary arc
     if scheme == "mu":
-        return MassVector(values=_mu_vertex_masses(t, m, cx), scheme="mu")
-    cell_mass = 2.0 * cx.areas[m][:, None]
-    if scheme == "thirds":
-        w = np.repeat(cell_mass / 3.0, 3, axis=1)
+        arc = 0.5 * lens / cx.quads[m][:, :3]
+    elif scheme == "thirds":
+        arc = np.repeat(area / 3.0, 3, axis=1)
     elif scheme == "arclen":
-        lens = _cell_arc_lengths(cx, m)
-        tot = lens[:, :1] + lens[:, 1:2] + lens[:, 2:]
-        w = cell_mass * (lens[:, [1, 2, 0]] + lens[:, [2, 0, 1]]) / (2.0 * tot)
+        arc = area * lens / lens.sum(axis=1, keepdims=True)
     else:
         raise ValueError(f"unknown mass scheme {scheme!r}")
-    vids = cx.vertex_ids[m]
-    masses = np.bincount(vids.ravel(), weights=w.ravel(), minlength=cx.num_vertices_at(m))
+    # vertex slot j ends the arcs on members j+1 and j+2
+    w = arc[:, [1, 2, 0]] + arc[:, [2, 0, 1]]
+    vids = cx.vertex_ids[m].ravel()
+    masses = np.bincount(vids, weights=w.ravel(), minlength=cx.num_vertices_at(m))
     return MassVector(values=masses, scheme=scheme)
 
 
-def _mu_vertex_masses(t: DiskTriple, m: int, cx: GasketComplex) -> np.ndarray:
-    return assemble_arc_fem(t, m, 1, cx).mass_vector().values[: cx.num_vertices_at(m)]
-
-
-def _cell_arc_lengths(cx: GasketComplex, m: int) -> np.ndarray:
-    """(3^m, 3) lengths of each depth-m cell's boundary arc on each member."""
-    cids = cx.circle_ids[m]
-    q = cx.points[cx.vertex_ids[m]]
-    c = cx.centers[cids]
-    sweep = _facing_arc(_angles(q[:, [1, 2, 0]] - c), _angles(q[:, [2, 0, 1]] - c))[1]
-    return cx.radii[cids] * sweep
+def _cell_shape(quads: np.ndarray):
+    """Center triangle areas (n, 1) and boundary arc lengths (n, 3) of cells (n, 4)."""
+    kappa, alpha = quads[:, 3:], quads[:, :3]
+    return kappa / alpha.prod(axis=1, keepdims=True), 2.0 * np.arctan(alpha / kappa) / alpha
 
 
 def _angles(d: np.ndarray) -> np.ndarray:

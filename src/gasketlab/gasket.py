@@ -133,10 +133,9 @@ class GasketComplex:
     is i written in base 3 with j digits (digit d read as letter d+1), and its
     children are cells 3i, 3i+1, 3i+2 of depth j+1.  Per depth j:
 
-    * ``quads[j]`` (3^j, 4): curvature quadruples;
-    * ``vertex_ids[j]`` (3^j, 3): tangency points q1, q2, q3 of each cell;
-    * ``circle_ids[j]`` (3^j, 3): member circles in slot order;
-    * ``areas[j]`` (3^j,): center triangle areas, nan with a half-plane member.
+    * ``quads[j]`` (3^j, 4): curvature quadruples, which also give each cell's
+      area and arc lengths in closed form (``forms.assemble_mass_trace``);
+    * ``vertex_ids[j]`` (3^j, 3): tangency points q1, q2, q3 of each cell.
 
     ``points`` (nV, 2) holds the vertices and ``vertex_pairs`` (nV, 2) the
     two circles each is tangent on.  Ids 0-2 are the root tangency points;
@@ -162,7 +161,7 @@ class GasketComplex:
         self.births = np.full(n_circles, -1)
         self.points = np.empty((self.num_vertices_at(depth), 2))
         self.vertex_pairs = np.empty((len(self.points), 2), dtype=int)
-        self.quads, self.vertex_ids, self.circle_ids, self.areas = [], [], [], []
+        self.quads, self.vertex_ids = [], []
         halfplane = None
         for j, d in enumerate(self.root.disks):
             self.curvatures[j] = d.curvature
@@ -176,11 +175,8 @@ class GasketComplex:
         vids, cids = np.array([[0, 1, 2]]), np.array([[0, 1, 2]])
         for level in range(self.depth + 1):
             centers, radii = self.centers[cids], self.radii[cids]
-            (x1, y1), (x2, y2), (x3, y3) = centers.transpose(1, 2, 0)
             self.quads.append(quads)
             self.vertex_ids.append(vids)
-            self.circle_ids.append(cids)
-            self.areas.append(0.5 * np.abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)))
             # the deepest inscribed disks are checked but not stored
             z, r_in, k_in = inscribed_disks(quads, centers, radii, halfplane)
             if level == self.depth:
@@ -233,24 +229,26 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     of the cell tree (a child's inscribed disk curves more than its parent's,
     and a pruned cell is never expanded).  That subtree is walked one level
     at a time on arrays: each level is the children of the cells the level
-    above kept.  Every kept cell is counted once, whatever the traversal, and
-    ``BudgetExceeded`` is raised after the first level that takes the total
-    above ``cap``, that is, exactly when the subtree has more than ``cap``
-    cells.
+    above kept, one letter at a time, and only the kept children are stored.
+    Every kept cell is counted once, whatever the traversal, and
+    ``BudgetExceeded`` is raised as soon as the total passes ``cap``, that
+    is, exactly when the subtree has more than ``cap`` cells.
     """
     grid = sorted(float(x) for x in grid)
     hist = np.zeros(len(grid), dtype=np.int64)
-    total = 0
-    quads = tuple(np.array([x], dtype=float) for x in t.quad)
-    while len(quads[0]):
-        cin = inscribed_curvature(quads)
-        keep = cin <= grid[-1]
-        quads, cin = tuple(x[keep] for x in quads), cin[keep]
-        total += len(cin)
-        if total > cap:
-            raise BudgetExceeded(f"count exceeded cap {cap}")
-        hist += np.bincount(np.searchsorted(grid, cin, side="left"), minlength=len(grid))
-        quads = tuple(np.concatenate(x) for x in zip(*(child_quad(quads, j) for j in LETTERS)))
+    total, level = 0, [tuple(np.array([x], dtype=float) for x in t.quad)]
+    while level:
+        kept = []
+        for quads in level:  # lazily, one letter's unpruned children at a time
+            cin = inscribed_curvature(quads)
+            keep = cin <= grid[-1]
+            total += int(np.count_nonzero(keep))
+            if total > cap:
+                raise BudgetExceeded(f"count exceeded cap {cap}")
+            hist += np.bincount(np.searchsorted(grid, cin[keep], side="left"), minlength=len(grid))
+            kept.append(tuple(x[keep] for x in quads))
+        parents = tuple(np.concatenate(x) for x in zip(*kept))
+        level = (child_quad(parents, j) for j in LETTERS) if len(parents[0]) else ()
     return list(zip(grid, np.cumsum(hist).tolist()))
 
 
@@ -316,6 +314,8 @@ def render_svg(t: DiskTriple, depth: int, size: int = 800, stroke: str = "#1a1a1
     """SVG of the member circles plus all inscribed circles down to ``depth``."""
     from .svg import circles_svg
 
+    if depth < 0:  # the build is one level deeper, so -1 would pass it
+        raise ValueError("depth must be nonnegative")
     cx = build_complex(t, depth + 1)
     disks = np.isfinite(cx.radii)
     circles = zip(*cx.centers[disks].T.tolist(), cx.radii[disks].tolist())
@@ -324,6 +324,8 @@ def render_svg(t: DiskTriple, depth: int, size: int = 800, stroke: str = "#1a1a1
 
 def cells_to_json(t: DiskTriple, depth: int) -> list[dict]:
     """Cell records (word, quadruple, inscribed disk) for interchange."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     cx = build_complex(t, depth + 1)
     words = [w for j in range(depth + 1) for w in cell_words(j)]
     # the inscribed disks of the cells in word order are circles 3, 4, ...

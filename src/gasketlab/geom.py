@@ -25,6 +25,7 @@ from .errors import (
 
 GEOM_RTOL = 1e-9
 ALG_RTOL = 1e-12
+RESIDUAL_RTOL = 1e-6  # inscribed disk tangency residuals, relative to its radius
 
 Point = tuple[float, float]
 
@@ -122,7 +123,7 @@ def disk_from_json(obj: dict) -> GeneralizedDisk:
 _AMBIENT_EPS = 4096.0 * 2.220446049250313e-16
 
 
-def tangency_point(d1: GeneralizedDisk, d2: GeneralizedDisk, rtol: float = GEOM_RTOL) -> Point:
+def tangency_point(d1: GeneralizedDisk, d2: GeneralizedDisk) -> Point:
     """Unique common boundary point of two externally tangent members."""
     if not d1.is_disk and not d2.is_disk:
         raise TwoHalfPlanes("tangency point of two half-planes is not defined")
@@ -131,25 +132,25 @@ def tangency_point(d1: GeneralizedDisk, d2: GeneralizedDisk, rtol: float = GEOM_
     hp = None if d2.is_disk else (d2.normal, d2.offset)
     c2, r2 = (d2.center, d2.radius) if d2.is_disk else ((math.nan, math.nan), math.inf)
     p = tangency_points(
-        np.array([d1.center]), np.array([d1.radius]), np.array([[c2]]), np.array([[r2]]), hp, rtol
+        np.array([d1.center]), np.array([d1.radius]), np.array([[c2]]), np.array([[r2]]), hp
     )
     return tuple(p[0, 0].tolist())
 
 
-def tangency_points(z, r, centers, radii, halfplane=None, rtol: float = GEOM_RTOL):
+def tangency_points(z, r, centers, radii, halfplane=None):
     """Points (n, k, 2) where the disks of centers ``z`` (n, 2) and radii
     ``r`` (n,) touch their members (``centers`` (n, k, 2), ``radii`` (n, k)).
 
     A half-plane member has radius inf and center nan, and ``halfplane`` =
     (normal, offset) describes it.  ``NotTangent`` is raised if any pair's
-    boundary gap exceeds ``rtol`` times the larger radius plus the ambient
+    boundary gap exceeds ``GEOM_RTOL`` times the larger radius plus the ambient
     roundoff of the coordinates.
     """
     hp = np.isinf(radii)
     x1, y1, r1 = z[:, :1], z[:, 1:], r[:, None]
     x2, y2, r2 = centers[..., 0], centers[..., 1], np.where(hp, np.nan, radii)
     gap = np.hypot(x2 - x1, y2 - y1) - (r1 + r2)
-    tol = rtol * np.maximum(r1, r2) + _AMBIENT_EPS * (
+    tol = GEOM_RTOL * np.maximum(r1, r2) + _AMBIENT_EPS * (
         np.abs(x1) + np.abs(y1) + np.abs(x2) + np.abs(y2) + r1 + r2
     )
     s = 1.0 / (r1 + r2)
@@ -158,7 +159,7 @@ def tangency_points(z, r, centers, radii, halfplane=None, rtol: float = GEOM_RTO
         (nx, ny), off = halfplane
         gap = np.where(hp, x1 * nx + y1 * ny - off - r1, gap)
         ambient = np.abs(x1) + np.abs(y1) + abs(off) + r1
-        tol = np.where(hp, rtol * r1 + _AMBIENT_EPS * ambient, tol)
+        tol = np.where(hp, GEOM_RTOL * r1 + _AMBIENT_EPS * ambient, tol)
         px, py = np.where(hp, x1 - r1 * nx, px), np.where(hp, y1 - r1 * ny, py)
     bad = np.abs(gap) > tol
     if np.any(bad):
@@ -194,18 +195,13 @@ class DiskTriple:
         return all(d.is_disk for d in self.disks)
 
 
-def validate_triple(
-    d1: GeneralizedDisk,
-    d2: GeneralizedDisk,
-    d3: GeneralizedDisk,
-    rtol: float = GEOM_RTOL,
-) -> DiskTriple:
+def validate_triple(d1: GeneralizedDisk, d2: GeneralizedDisk, d3: GeneralizedDisk) -> DiskTriple:
     """Check tangency and orientation, attach tangency points and quadruple."""
     if sum(not d.is_disk for d in (d1, d2, d3)) > 1:
         raise TwoHalfPlanes("a tangential disk triple admits at most one half-plane")
-    q1 = tangency_point(d2, d3, rtol)
-    q2 = tangency_point(d3, d1, rtol)
-    q3 = tangency_point(d1, d2, rtol)
+    q1 = tangency_point(d2, d3)
+    q2 = tangency_point(d3, d1)
+    q3 = tangency_point(d1, d2)
     if _signed_area(q1, q2, q3) <= 0.0:
         raise NotPositivelyOriented("tangency points are clockwise")
     a, b, c = d1.curvature, d2.curvature, d3.curvature
@@ -241,19 +237,17 @@ def circumscribed_disk(t: DiskTriple) -> GeneralizedDisk:
     return disk(center, r)
 
 
-def inscribed_disk(t: DiskTriple, residual_rtol: float = 1e-6) -> GeneralizedDisk:
+def inscribed_disk(t: DiskTriple) -> GeneralizedDisk:
     """Disk inside the ideal triangle tangent to all three members (one row
     of ``inscribed_disks``)."""
     hp = next(((d.normal, d.offset) for d in t.disks if not d.is_disk), None)
     centers = [d.center if d.is_disk else (math.nan, math.nan) for d in t.disks]
     radii = [d.radius if d.is_disk else math.inf for d in t.disks]
-    z, r, k = inscribed_disks(
-        np.array([t.quad]), np.array([centers]), np.array([radii]), hp, residual_rtol
-    )
+    z, r, k = inscribed_disks(np.array([t.quad]), np.array([centers]), np.array([radii]), hp)
     return GeneralizedDisk(curvature=float(k[0]), center=tuple(z[0].tolist()), radius=float(r[0]))
 
 
-def inscribed_disks(quads, centers, radii, halfplane=None, residual_rtol: float = 1e-6):
+def inscribed_disks(quads, centers, radii, halfplane=None):
     """Inscribed disks of n triples at once: centers (n, 2), radii and curvatures.
 
     ``quads`` (n, 4) are the curvature quadruples and ``centers`` (n, 3, 2),
@@ -301,7 +295,7 @@ def inscribed_disks(quads, centers, radii, halfplane=None, residual_rtol: float 
     uy = (a11 * b2 - a21 * b1) / det
     zx, zy = ox + ux, oy + uy
 
-    tol = residual_rtol * r_in + _AMBIENT_EPS * (np.abs(ox) + np.abs(oy) + 1.0)
+    tol = RESIDUAL_RTOL * r_in + _AMBIENT_EPS * (np.abs(ox) + np.abs(oy) + 1.0)
     dx, dy = centers[..., 0] - ox[:, None], centers[..., 1] - oy[:, None]
     resid = np.hypot(ux[:, None] - dx, uy[:, None] - dy) - (r_in[:, None] + radii)
     if halfplane is not None:
@@ -310,7 +304,7 @@ def inscribed_disks(quads, centers, radii, halfplane=None, residual_rtol: float 
     bad = np.abs(resid) > tol[:, None]
     if np.any(bad):
         raise NumericBreakdown(
-            f"tangency residual {resid[bad][0]:.3e} exceeds {residual_rtol:g}*r_in"
+            f"tangency residual {resid[bad][0]:.3e} exceeds {RESIDUAL_RTOL:g}*r_in"
         )
 
     z1, z2, z3 = (dx + 1j * dy).T

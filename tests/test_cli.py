@@ -146,6 +146,13 @@ def test_spectrum_negative_top_exit_one(capsys):
     assert err == "error: how_many must be non-negative, got -5\n"
 
 
+@pytest.mark.parametrize("subcommand", ["render", "cells"])
+def test_gasket_negative_depth_exit_one(capsys, subcommand):
+    code, out, err = run_cli(capsys, "gasket", subcommand, "--depth", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: depth must be nonnegative\n"
+
+
 def test_unknown_flag_exit_one(capsys):
     assert main(["gasket", "count", "--bogus"]) == 1
 

@@ -129,6 +129,40 @@ def test_mass_mu_totals_increase_to_limit(unit_triple):
     assert totals[-1] > 0.98 * target
 
 
+@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (0.4, 2.7, 5.0)])
+def test_closed_form_cell_identities(curvatures):
+    cx = gasket.build_complex(geom.triple_from_curvatures(*curvatures), 6)
+    shapes = [forms._cell_shape(q) for q in cx.quads]
+    for j, (area, lens) in enumerate(shapes):
+        # the arcs sweep the center triangle's angles
+        sweep = lens * cx.quads[j][:, :3]
+        assert np.allclose(sweep.sum(axis=1), math.pi, rtol=2e-15, atol=0.0)
+        if j == 0:
+            continue
+        # child center triangles tile the parent one
+        parent_area, parent_lens = shapes[j - 1]
+        tiled = area.reshape(-1, 3).sum(axis=1)
+        assert np.allclose(tiled, parent_area[:, 0], rtol=2e-15, atol=0.0)
+        # child c keeps the members s != c in their slots, and the inscribed
+        # disk splits the parent's arc on s between the two children keeping it
+        kids = lens.reshape(-1, 3, 3)
+        for s in range(3):
+            split = kids[:, (s + 1) % 3, s] + kids[:, (s + 2) % 3, s]
+            assert np.allclose(split, parent_lens[:, s], rtol=2e-15, atol=0.0)
+
+
+def test_trace_pencil_needs_no_arc_network(unit_triple, monkeypatch):
+    from gasketlab import spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace pencil built the arc network")
+
+    monkeypatch.setattr(forms, "assemble_arc_fem", refuse)
+    evp = spectra.evp_from_trace(unit_triple, 4)
+    assert evp.n_free == forms.assemble_trace_form(unit_triple, 4).n_vertices - 3
+    assert np.all(evp.mass > 0.0)
+
+
 def _arc_radii(net, cx):
     return cx.radii[net.arc_ids]
 
