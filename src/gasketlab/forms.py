@@ -216,13 +216,34 @@ class ArcNetwork(Network):
 
     Edge conductance is rad/len and edge mass rad*len with len the arc
     length.  ``arc_ids[k]`` is the id of the circle (into the complex's
-    circle arrays) that edge k lies on.
+    circle arrays) that edge k lies on.  Each arc piece between two V_m
+    points is a chain of ``refine`` consecutive edges, and its ``refine - 1``
+    inner points follow the V_m ids in piece order.
     """
 
     depth: int
     refine: int
     n_vm: int  # leading ids are the V_m tangency points
     arc_ids: np.ndarray
+
+    def extend_vertex_map(self, vm_map: np.ndarray) -> np.ndarray:
+        """Extend a symmetry of the V_m ids to the points inside the pieces.
+
+        The image of a piece is the piece whose end points are the images of
+        its own (two circles share at most one point, so the end points name
+        the piece); where the map reverses a piece, it reverses the order of
+        the piece's inner points.
+        """
+        r, n = self.refine, self.n_vertices
+        a, b = self.edges[::r, 0], self.edges[r - 1::r, 1]  # each piece's two ends
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        ma, mb = vm_map[a], vm_map[b]
+        order = np.argsort(key)
+        image = order[np.searchsorted(key, np.minimum(ma, mb) * n + np.maximum(ma, mb),
+                                      sorter=order)]
+        t = np.arange(r - 1)
+        inner = np.where((ma != a[image])[:, None], r - 2 - t, t) + image[:, None] * (r - 1)
+        return np.concatenate((vm_map, self.n_vm + inner.ravel()))
 
 
 def assemble_arc_fem(

@@ -3,7 +3,10 @@
 Requests for k >= DENSE_KN2 * n**2 of n eigenvalues go through a dense full
 tridiagonalization solved by LAPACK's divide-and-conquer driver (``syevd``),
 the fastest one when every eigenvector is wanted; it overwrites our own
-Fortran-order copy of the pencil, so f2py makes no second n x n copy.
+Fortran-order copy of the pencil, so f2py makes no second n x n copy.  A
+pencil with a mirror (an isosceles triple, such as the classical gasket) is
+solved there as two blocks of about n/2, its even and odd vectors, for about
+a quarter of the O(n^3) work.
 Smaller requests go through shift-invert Lanczos spectrum slices, whose
 bounds are placed by count-guided splits on sparse Sylvester inertia counts
 of K - sigma M; the same counts certify each slice complete at every size.
@@ -45,6 +48,16 @@ from .geom import DiskTriple, transform_triple
 #   n_free 3,279 (trace m=7):        dense 3.35; k=1000 1.86, k=1500 2.96, k=2000 4.06
 # The crossover k / n_free**2 is 2.1-2.5e-4 up to n_free 2,550 and 1.6e-4 at
 # 3,279; 1.8e-4 leans to the large sizes, where a wrong route costs the most.
+# A mirrored pencil's dense solve takes two blocks of about n_free/2, so it
+# crosses over lower.  Unit triple, same host and settings, best of two
+# samples of two runs each (BENCH_15.json); the sliced path is unchanged:
+#   n_free   363 (trace m=5):        dense 0.012; sliced k=10 0.011, k=30 0.022
+#   n_free 1,092 (trace m=6):        dense 0.096; k=50 0.042, k=100 0.087, k=200 0.174
+#   n_free 1,821 (arc FEM m=5, r=3): dense 0.32; k=200 0.25, k=300 0.38
+#   n_free 2,550 (arc FEM m=5, r=4): dense 0.98; k=500 0.89, k=700 1.44
+#   n_free 3,279 (trace m=7):        dense 1.79; k=300 0.87, k=500 1.67, k=700 2.23
+# That is k / n_free**2 of 5-9e-5.  The rule still routes every pencil by
+# 1.8e-4: a route change is a measured change of its own.
 DENSE_KN2 = 1.8e-4  # dense from k = DENSE_KN2 * n_free**2, sliced below
 # From a sweep of trace m = 7, 8, 9 at k = 300 and 1000 (BENCH_11.json): sizes
 # 40-64 run within 15% of each other and 1.2-1.8x faster than 220, as ARPACK's
@@ -55,14 +68,27 @@ RESIDUAL_BLOCK = 128  # eigenvector columns per block of the residual certificat
 PIVOT_RTOL = 1e-12  # min/max |pivot| below this: the shift sits on an eigenvalue
 BOUND_CLUSTER_RTOL = 1e-10  # a computed eigenvalue this close moves a slice bound
 BOUND_STEP_RTOL, BOUND_MOVES = 1e-8, 4  # first move of a bound (x10 per further move), cap
+# K and the mass may move this much, relative to their largest entries, under
+# a mirror; the builders' mirrors move them by at most 4e-16 (trace, m <= 9)
+# and 1.8e-13 (arc FEM, m <= 6, from the positions' roundoff)
+MIRROR_RTOL = 1e-10
 
 
 @dataclass
 class GeneralizedEVP:
+    """The pencil (K, diag(mass)) with Dirichlet ``boundary`` vertex ids.
+
+    ``mirror``, if set, is an involution of the vertex ids that maps
+    ``boundary`` onto itself and leaves K and the mass invariant within
+    ``MIRROR_RTOL`` of their largest entries; ``ValueError`` otherwise.  The
+    dense solve then splits the pencil into its even and odd blocks.
+    """
+
     stiffness: sp.csr_matrix
     mass: np.ndarray
     boundary: tuple[int, ...]
     meta: dict = field(default_factory=dict)
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.stiffness.shape[0]
@@ -74,6 +100,15 @@ class GeneralizedEVP:
             raise ValueError("boundary indices out of range")
         if len(set(self.boundary)) != len(self.boundary):
             raise ValueError("boundary indices repeat")
+        if self.mirror is not None:
+            self.mirror = p = np.asarray(self.mirror)
+            if (p.shape != (n,) or p.dtype.kind not in "iu" or np.any((p < 0) | (p >= n))
+                    or np.any(p[p] != np.arange(n))):
+                raise ValueError("mirror must be an involution of the vertex ids")
+            if not _keeps(p, self.boundary):
+                raise ValueError("mirror must map the boundary onto itself")
+            if not _is_symmetry(p, self.stiffness, self.mass):
+                raise ValueError("mirror must leave the stiffness and the mass invariant")
 
     @property
     def n_total(self) -> int:
@@ -85,28 +120,88 @@ class GeneralizedEVP:
 
 
 def evp_from_trace(t: DiskTriple, m: int, dirichlet="v0", mass_scheme="mu", cx=None):
-    if cx is None:
+    """Trace pencil on V_m, with a mirror if the triple has one (``_mirror``)."""
+    if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     form = assemble_trace_form(t, m, cx)
     mass = assemble_mass_trace(t, m, cx, scheme=mass_scheme)
-    boundary = _resolve_boundary(dirichlet, form.n_vertices)
+    K, boundary = form.stiffness(), _resolve_boundary(dirichlet, form.n_vertices)
     return GeneralizedEVP(
-        stiffness=form.stiffness(),
+        stiffness=K,
         mass=mass.values,
         boundary=boundary,
         meta={"scheme": "trace", "depth": m, "mass_scheme": mass_scheme},
+        mirror=_mirror(t, cx, m, K, mass.values, boundary),
     )
 
 
 def evp_from_arc_fem(t: DiskTriple, m: int, refine: int, dirichlet="v0", cx=None):
+    """Arc FEM pencil, with a mirror if the triple has one (``_mirror``)."""
+    if cx is None or cx.depth < m:
+        cx = build_complex(t, m)
     net = assemble_arc_fem(t, m, refine, cx)
+    K, mass = net.stiffness(), net.mass_vector().values
     boundary = _resolve_boundary(dirichlet, net.n_vertices)
     return GeneralizedEVP(
-        stiffness=net.stiffness(),
-        mass=net.mass_vector().values,
+        stiffness=K,
+        mass=mass,
         boundary=boundary,
         meta={"scheme": "arcfem", "depth": m, "refine": refine},
+        mirror=_mirror(t, cx, m, K, mass, boundary, net),
     )
+
+
+def _mirror(t: DiskTriple, cx, m: int, K, mass, boundary, net=None):
+    """The first mirror of the triple that maps ``boundary`` onto itself and
+    leaves the pencil (K, mass) invariant, or None.
+
+    Members i and j of exactly equal curvature are swapped by the reflection
+    in the line through the third member's centre and the point q where i
+    and j touch.  It maps the cell of word w to the cell whose word swaps the
+    letters i and j, and slot s of one to slot sigma(s) of the other (sigma
+    swaps i and j), so the cell tree gives the map of V_m with no geometry;
+    ``net.extend_vertex_map`` carries it along the arc network's pieces.  The
+    trace pencil is a function of the curvatures alone, so it is invariant
+    (``GeneralizedEVP`` checks it); the arc network is built from the disks'
+    positions, which a triple given as disks may hold only to within
+    roundoff of the mirror image, so its candidates are checked here.
+    """
+    for i, j in ((1, 2), (0, 2), (0, 1)):
+        if t.quad[i] != t.quad[j]:
+            continue
+        sigma = np.arange(3)
+        sigma[[i, j]] = j, i
+        cells = np.zeros(1, dtype=int)  # the mirror image of each depth-m cell
+        for _ in range(m):
+            cells = (3 * cells[:, None] + sigma).ravel()
+        vids = cx.vertex_ids[m]
+        mirror = np.empty(cx.num_vertices_at(m), dtype=int)
+        mirror[vids] = vids[cells][:, sigma]
+        if net is not None:
+            mirror = net.extend_vertex_map(mirror)
+        if _keeps(mirror, boundary) and (net is None or _is_symmetry(mirror, K, mass)):
+            return mirror
+    return None
+
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+def _is_symmetry(mirror, K, mass) -> bool:
+    """True when ``mirror`` moves K and the mass by at most ``MIRROR_RTOL``
+    times their largest entries."""
+    K = K.tocsr()
+    return (_max_abs((K[mirror][:, mirror] - K).data) <= MIRROR_RTOL * _max_abs(K.data)
+            and _max_abs(mass[mirror] - mass) <= MIRROR_RTOL * _max_abs(mass))
+
+
+def _keeps(mirror, ids) -> bool:
+    """True when ``mirror`` maps the vertex ids ``ids`` onto themselves."""
+    ids = np.sort(np.asarray(ids, dtype=int))
+    if np.any((ids < 0) | (ids >= len(mirror))):
+        return False
+    return bool(np.array_equal(np.sort(mirror[ids]), ids))
 
 
 def _resolve_boundary(dirichlet, n) -> tuple[int, ...]:
@@ -165,8 +260,9 @@ def _gershgorin_upper(A: sp.csr_matrix) -> float:
 def _residual_max(K, d, lams, Y):
     """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} y.
 
-    Dense solves pass all k columns, sliced ones one slice's kept columns at
-    a time, taken in ceil(k / RESIDUAL_BLOCK) near-equal blocks.  Each column
+    Dense solves pass each block's kept columns (all k of them without a
+    mirror), sliced ones one slice's kept columns at a time, taken in
+    ceil(k / RESIDUAL_BLOCK) near-equal blocks.  Each column
     keeps the bits it has in one n x k block: numpy sums a lone or F-order
     column's norm pairwise, but a column inside a C-order block of two or
     more sequentially, and R is C-order.  So no block is a single column
@@ -217,13 +313,27 @@ def solve(
     ``how_many=None`` returns the full spectrum.  A request for k of n free
     eigenvalues with k >= ``DENSE_KN2`` * n**2 (the module constant, read at
     call time), and any full-spectrum request, is solved by dense divide and
-    conquer (LAPACK ``syevd``) on a Fortran-order copy of the pencil that
-    LAPACK overwrites, which saves the copy f2py would make of a C-order
-    array; smaller requests go through shift-invert Lanczos slices whose
-    completeness is verified by sparse inertia counts.  Either way
-    ``meta["inertia_verified"]`` is True and ``meta["residual_max"]``
-    certifies exactly the k reported pairs; the sliced path also records its
-    slices under ``meta["slices"]``.
+    conquer (LAPACK ``syevd``) on a Fortran-order copy of each block of the
+    pencil that LAPACK overwrites, which saves the copy f2py would make of a
+    C-order array; smaller requests go through shift-invert Lanczos slices
+    whose completeness is verified by sparse inertia counts.
+
+    The dense blocks are Q^T A Q for the orthonormal bases Q of
+    ``_mirror_bases``: A itself without a mirror, else its even and odd
+    blocks, whose sizes differ by the number of free vertices the mirror
+    fixes.  A mirror leaves A invariant within ``MIRROR_RTOL``, so the two
+    blocks hold its spectrum up to that roundoff.  The k lowest of the
+    merged spectra are mapped back to the free vertices, block by block, and
+    certified by the unchanged residual against the original K and mass, so
+    a split that moved an eigenpair fails the certificate.  Inertia holds by
+    construction, as before: the blocks' n eigenvalues are those of A in an
+    orthonormal basis, less a coupling the mirror bounds by ``MIRROR_RTOL``,
+    and the k lowest are reported.  ``meta["blocks"]`` lists the block sizes,
+    ``[n]`` without a split (and on the sliced path).
+
+    Either way ``meta["inertia_verified"]`` is True and
+    ``meta["residual_max"]`` certifies exactly the k reported pairs; the
+    sliced path also records its slices under ``meta["slices"]``.
     """
     if how_many is not None and how_many < 0:
         raise ValueError(f"how_many must be non-negative, got {how_many}")
@@ -233,16 +343,28 @@ def solve(
     lam_scale = _gershgorin_upper(A)
 
     meta = dict(evp.meta)
-    meta.update({"boundary": tuple(evp.boundary), "n_free": n})
+    meta.update({"boundary": tuple(evp.boundary), "n_free": n, "blocks": [n]})
     meta["method"] = "dense" if k == n or k >= DENSE_KN2 * n * n else "lanczos-shift-invert"
 
     if k == 0:  # nothing asked: no factorization on either path
         lams, res = np.empty(0), 0.0
     elif meta["method"] == "dense":
-        # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
-        lams, Y = sla.eigh(A.toarray(order="F"), driver="evd", overwrite_a=True,
-                           check_finite=False)
-        lams, res = lams[:k], _residual_max(K, d, lams[:k], Y[:, :k])
+        bases = _mirror_bases(evp.mirror, free)
+        blocks = []
+        for Q in bases:
+            B = A if Q is None else Q.T @ A @ Q
+            # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
+            blocks.append(sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
+                                   check_finite=False))
+        meta["blocks"] = [len(lam_b) for lam_b, _ in blocks]
+        lams = np.concatenate([lam_b for lam_b, _ in blocks])
+        kept = np.argsort(lams, kind="stable")[:k]  # a prefix of each ascending block
+        which = np.searchsorted(np.cumsum(meta["blocks"]), kept, side="right")
+        res = 0.0
+        for Q, (lam_b, Y_b), k_b in zip(bases, blocks, np.bincount(which, minlength=len(bases))):
+            Y_b = Y_b[:, :k_b]  # the block's kept pairs, mapped back to the free vertices
+            res = max(res, _residual_max(K, d, lam_b[:k_b], Y_b if Q is None else Q @ Y_b))
+        lams = lams[kept]
     else:
         lams, res, meta["slices"] = _sliced_lanczos(A, K, d, k, lam_scale, seed)
     meta.update(inertia_verified=True, residual_max=res, lambda_scale=lam_scale)
@@ -260,6 +382,29 @@ def solve(
     spec = Spectrum(eigenvalues=np.sort(lams), meta=meta)
     meta["trust_ceiling"] = trust_ceiling(spec) if len(spec) else None
     return spec
+
+
+def _mirror_bases(mirror, free) -> list:
+    """Sparse orthonormal bases (n_free, b) of the even and odd free vectors.
+
+    e_i for each free vertex the mirror fixes, and (e_i + e_j) / sqrt(2) for
+    each swapped pair i < j, span the even vectors; (e_i - e_j) / sqrt(2)
+    the odd ones.  ``[None]`` (the identity) without a mirror.
+    """
+    if mirror is None:
+        return [None]
+    n = len(free)
+    at = np.empty(len(mirror), dtype=int)
+    at[free] = np.arange(n)
+    image = at[mirror[free]]  # the mirror on free positions
+    fixed, lo = np.flatnonzero(image == np.arange(n)), np.flatnonzero(image > np.arange(n))
+    f, c, h = len(fixed), np.arange(len(lo)), math.sqrt(0.5)
+    even = sp.csr_matrix((np.r_[np.ones(f), np.full(2 * len(lo), h)],
+                          (np.r_[fixed, lo, image[lo]], np.r_[np.arange(f), f + c, f + c])),
+                         shape=(n, f + len(lo)))
+    odd = sp.csr_matrix((np.r_[np.full(len(lo), h), np.full(len(lo), -h)],
+                         (np.r_[lo, image[lo]], np.r_[c, c])), shape=(n, len(lo)))
+    return [even, odd]
 
 
 def _moved(b: float, moves: list) -> float:
@@ -462,10 +607,19 @@ class InterlacingReport:
 
 
 def interlacing_check(evp: GeneralizedEVP, V, rtol: float = 1e-9) -> InterlacingReport:
-    """lambda_n <= lambda_n^V <= lambda_{n+#V} on a fixed discretization."""
-    base = GeneralizedEVP(evp.stiffness, evp.mass, boundary=(), meta=dict(evp.meta))
+    """lambda_n <= lambda_n^V <= lambda_{n+#V} on a fixed discretization.
+
+    Both problems keep ``evp.mirror``, the constrained one when the mirror
+    maps V onto itself.
+    """
+    mirror = evp.mirror
+    base = GeneralizedEVP(evp.stiffness, evp.mass, boundary=(), meta=dict(evp.meta),
+                          mirror=mirror)
     v_sorted = tuple(sorted(set(int(i) for i in V)))
-    cons = GeneralizedEVP(evp.stiffness, evp.mass, boundary=v_sorted, meta=dict(evp.meta))
+    if mirror is not None and not _keeps(mirror, v_sorted):
+        mirror = None
+    cons = GeneralizedEVP(evp.stiffness, evp.mass, boundary=v_sorted, meta=dict(evp.meta),
+                          mirror=mirror)
     # constraining V may split the graph; min-max interlacing still applies
     lam_free = solve(base, allow_disconnected=True).eigenvalues
     lam_v = solve(cons, allow_disconnected=True).eigenvalues

@@ -126,20 +126,170 @@ def test_iterative_path_matches_dense(unit_triple, monkeypatch):
     assert it.meta["trust_ceiling"] == spectra.trust_ceiling(it)
 
 
-@pytest.mark.parametrize("scheme", ["arcfem m=5 refine 3", "trace m=6"])
-def test_dense_path_matches_eigvalsh(unit_triple, scheme):
-    # the divide-and-conquer solve against numpy's eigvalsh on the same matrix
+@pytest.mark.parametrize("scheme", ["arcfem m=5 refine 3", "trace m=6",
+                                    "arcfem m=5 refine 3 triple 2,1,2", "trace m=6 triple 2,1,2"])
+def test_dense_path_matches_eigvalsh(scheme):
+    # the divide-and-conquer solve against numpy's eigvalsh on the same matrix;
+    # both triples (unit unless named) are mirrored, (2, 1, 2) in an oblique
+    # line, so the dense solve takes the even and odd blocks
+    curvatures = scheme.split("triple ")[1].split(",") if "triple" in scheme else (1, 1, 1)
+    t = geom.triple_from_curvatures(*map(float, curvatures))
     if scheme.startswith("arcfem"):
-        evp, k = spectra.evp_from_arc_fem(unit_triple, 5, 3), 1000
+        evp, k = spectra.evp_from_arc_fem(t, 5, 3), 1000
     else:
-        evp, k = spectra.evp_from_trace(unit_triple, 6), None
+        evp, k = spectra.evp_from_trace(t, 6), None
     s = spectra.solve(evp, how_many=k)
-    assert s.meta["method"] == "dense"
+    assert s.meta["method"] == "dense" and len(s.meta["blocks"]) == 2
     _, _, _, A = spectra._free_pencil(evp, False)
     ref = np.linalg.eigvalsh(A.toarray())[: len(s)]
     floor = 1e-12 * s.meta["lambda_scale"]
     assert np.all(np.abs(s.eigenvalues - ref) <= np.maximum(1e-10 * np.abs(ref), floor))
     assert s.meta["residual_max"] <= spectra.RESIDUAL_RTOL * s.meta["lambda_scale"]
+
+
+def _reflect(points, c, q):
+    """Reflect (n, 2) points in the line through c and q."""
+    u = np.subtract(q, c) / math.dist(q, c)
+    x = points - np.asarray(c)
+    return np.asarray(c) + 2.0 * (x @ u)[:, None] * u - x
+
+
+@pytest.mark.parametrize("dirichlet", ["v0", "none"])
+@pytest.mark.parametrize("scheme", ["trace", "arcfem"])
+@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (1.0, 2.0, 2.0), (2.0, 1.0, 2.0)])
+def test_builders_set_the_mirror(curvatures, scheme, dirichlet):
+    # the cell-tree mirror is the reflection in the line through the odd
+    # member's centre and the tangency point of the equal pair
+    from gasketlab import forms
+
+    t = geom.triple_from_curvatures(*curvatures)
+    if scheme == "trace":
+        evp = spectra.evp_from_trace(t, 4, dirichlet=dirichlet)
+        points = forms.assemble_trace_form(t, 4).points
+    else:
+        evp = spectra.evp_from_arc_fem(t, 3, 3, dirichlet=dirichlet)
+        points = forms.assemble_arc_fem(t, 3, 3).points
+    p = evp.mirror
+    assert p is not None and len(p) == evp.n_total
+    odd = [j for j in range(3) if p[j] == j]
+    assert len(odd) == 1 and sorted(p[:3]) == [0, 1, 2]
+    (j,) = odd
+    image = _reflect(points, t.disks[j].center, t.q[j])
+    assert np.max(np.abs(points[p] - image)) <= 1e-12 * np.max(np.abs(points))
+
+
+@pytest.mark.parametrize(
+    "curvatures, dirichlet",
+    [((1.0, 2.0, 3.0), "v0"), ((1.0, 2.0, 3.0), "none"), ((1.0, 1.0, 1.0), (0, 5)),
+     ((1.0, 2.0, 2.0), (0, 5)), ((2.0, 1.0, 2.0), (0, 5))],
+)
+@pytest.mark.parametrize("scheme", ["trace", "arcfem"])
+def test_builders_set_no_mirror(curvatures, dirichlet, scheme):
+    # no equal pair, or no mirror of the triple keeps the Dirichlet set
+    t = geom.triple_from_curvatures(*curvatures)
+    if scheme == "trace":
+        evp = spectra.evp_from_trace(t, 4, dirichlet=dirichlet)
+    else:
+        evp = spectra.evp_from_arc_fem(t, 3, 3, dirichlet=dirichlet)
+    assert evp.mirror is None
+    assert spectra.solve(evp).meta["blocks"] == [evp.n_free]
+
+
+@pytest.mark.parametrize("corner", [0, 1, 2])
+def test_builders_take_the_mirror_that_keeps_the_boundary(unit_triple, corner):
+    # the unit triple has three mirrors; Dirichlet at one corner keeps only
+    # the one that fixes it
+    for evp in (spectra.evp_from_trace(unit_triple, 3, dirichlet=(corner,)),
+                spectra.evp_from_arc_fem(unit_triple, 2, 2, dirichlet=(corner,))):
+        p = evp.mirror[:3]
+        assert p[corner] == corner and sorted(p) == [0, 1, 2] and list(p) != [0, 1, 2]
+
+
+def test_arc_mirror_needs_a_symmetric_network():
+    # equal curvatures, but the third disk sits 1e-10 off the line x = 1:
+    # the trace pencil (curvatures alone) keeps its mirror, the arc network
+    # (built from positions) moves by more than MIRROR_RTOL under each of
+    # the three and gets none
+    t = geom.validate_triple(geom.disk((0.0, 0.0), 1.0), geom.disk((2.0, 0.0), 1.0),
+                             geom.disk((1.0 + 1e-10, math.sqrt(3.0)), 1.0))
+    assert spectra.evp_from_trace(t, 3).mirror is not None
+    evp = spectra.evp_from_arc_fem(t, 3, 3)
+    assert evp.mirror is None
+    assert spectra.solve(evp).meta["blocks"] == [evp.n_free]
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("unrelated pair", "invariant"), ("not an involution", "involution"),
+    ("boundary", "boundary"), ("wrong length", "involution"),
+])
+def test_corrupted_mirror_raises(unit_triple, corruption, message):
+    evp = spectra.evp_from_trace(unit_triple, 4)
+    p, boundary = evp.mirror.copy(), evp.boundary
+    fixed = np.flatnonzero(p == np.arange(len(p)))[3:]  # free vertices the mirror fixes
+    if corruption == "unrelated pair":  # still an involution, but no symmetry
+        p[fixed[:2]] = fixed[1::-1]
+    elif corruption == "not an involution":
+        p[fixed[0]] = fixed[1]
+    elif corruption == "boundary":
+        boundary = (int(np.flatnonzero(p != np.arange(len(p)))[0]),)
+    else:
+        p = p[:-1]
+    with pytest.raises(ValueError, match=message):
+        spectra.GeneralizedEVP(evp.stiffness, evp.mass, boundary, mirror=p)
+
+
+@pytest.mark.parametrize("scheme", ["trace m=5 v0", "trace m=5 none", "arcfem m=4 refine 3"])
+def test_mirror_block_sizes(unit_triple, scheme):
+    # the even block is larger by the number of free vertices the mirror fixes
+    if scheme.startswith("arcfem"):
+        evp = spectra.evp_from_arc_fem(unit_triple, 4, 3)
+    else:
+        evp = spectra.evp_from_trace(unit_triple, 5, dirichlet=scheme.split()[-1])
+    s = spectra.solve(evp)
+    free = np.setdiff1d(np.arange(evp.n_total), evp.boundary)
+    n_fixed = int(np.count_nonzero(evp.mirror[free] == free))
+    even, odd = s.meta["blocks"]
+    assert n_fixed > 0 and even - odd == n_fixed and even + odd == evp.n_free
+
+
+@pytest.mark.parametrize("scheme", ["trace m=5", "arcfem m=4 refine 4 k=600"])
+def test_unmirrored_dense_is_one_eigh_call(scheme):
+    # no mirror: solve reports the bits of the one syevd call on A itself
+    import scipy.linalg as sla
+
+    t = geom.triple_from_curvatures(1.0, 2.0, 3.0)
+    if scheme.startswith("arcfem"):
+        evp, k = spectra.evp_from_arc_fem(t, 4, 4), 600
+    else:
+        evp, k = spectra.evp_from_trace(t, 5), None
+    s = spectra.solve(evp, how_many=k)
+    assert evp.mirror is None and s.meta["method"] == "dense"
+    assert s.meta["blocks"] == [evp.n_free]
+    _, _, _, A = spectra._free_pencil(evp, False)
+    lams = sla.eigh(A.toarray(order="F"), driver="evd", overwrite_a=True, check_finite=False)[0]
+    assert np.array_equal(s.eigenvalues, lams[: len(s)])
+
+
+def test_interlacing_keeps_the_mirror(unit_triple, monkeypatch):
+    # the base problem and a constrained one whose V the mirror keeps take
+    # the split; the report matches the unsplit one
+    evp = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
+    plain = spectra.GeneralizedEVP(evp.stiffness, evp.mass, ())
+    solve, mirrored = spectra.solve, []
+
+    def recording(e, **kwargs):
+        mirrored.append(e.mirror is not None)
+        return solve(e, **kwargs)
+
+    monkeypatch.setattr(spectra, "solve", recording)
+    for V, split in (((0, 1, 2), [True, True]), ((0, 5), [True, False])):
+        mirrored.clear()
+        rep = spectra.interlacing_check(evp, V)
+        assert mirrored == split
+        ref = spectra.interlacing_check(plain, V)
+        assert rep.n_checked == ref.n_checked and rep.ok
+        assert abs(rep.max_low_violation - ref.max_low_violation) <= 1e-10
+        assert abs(rep.max_high_violation - ref.max_high_violation) <= 1e-10
 
 
 @pytest.mark.parametrize("dirichlet", ["v0", "none"])
@@ -613,3 +763,11 @@ def test_spectrum_json_schema(unit_triple):
         assert key in obj
     assert obj["normalization"] == "laplacian"
     assert obj["boundary"] == [0, 1, 2]
+
+
+def test_spectrum_json_keys_are_pinned(unit_triple):
+    # solver diagnostics such as the dense block sizes stay in meta only
+    s = spectra.solve(spectra.evp_from_trace(unit_triple, 3))
+    assert s.meta["blocks"] == [21, 18]
+    assert list(s.to_json()) == ["scheme", "depth", "boundary", "eigenvalues", "normalization",
+                                 "n_free", "method", "residual_max", "inertia_verified"]
