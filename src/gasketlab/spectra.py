@@ -3,15 +3,22 @@
 Requests for k >= DENSE_KN2 * n**2 of n eigenvalues go through a dense full
 tridiagonalization solved by LAPACK's divide-and-conquer driver (``syevd``),
 the fastest one when every eigenvector is wanted; it overwrites our own
-Fortran-order copy of the pencil, so f2py makes no second n x n copy.  A
-pencil with a mirror (an isosceles triple, such as the classical gasket) is
-solved there as two blocks of about n/2, its even and odd vectors, for about
-a quarter of the O(n^3) work.
+Fortran-order copy of the pencil, so f2py makes no second n x n copy.
 Smaller requests go through shift-invert Lanczos spectrum slices, whose
 bounds are placed by count-guided splits on sparse Sylvester inertia counts
 of K - sigma M; the same counts certify each slice complete at every size.
-Only eigenvalues are reported, with a residual certificate taken in column
-blocks, on the sliced path slice by slice; no eigenvector is returned.
+
+Both paths run on the symmetry blocks of the pencil.  A pencil with a mirror
+(an isosceles triple) splits into its even and odd vectors, two blocks of
+about n/2.  One with a mirror and an order-3 rotation (the equilateral
+triple, such as the classical gasket, under a rotation-invariant Dirichlet
+set) splits by the irreducible representations of D3: A1 and A2 of about
+n/6 each and E of about n/3, whose eigenvalues are those of the pencil
+twice over, so E is solved once and reported twice.  Inertia adds over the
+blocks, so the sliced path places one bound on the summed counts and then
+slices each block below it.  Only eigenvalues are reported, with a residual
+certificate against the original K and mass taken in column blocks, on the
+sliced path slice by slice; no eigenvector is returned.
 """
 
 from __future__ import annotations
@@ -50,14 +57,18 @@ from .geom import DiskTriple, transform_triple
 # 3,279; 1.8e-4 leans to the large sizes, where a wrong route costs the most.
 # A mirrored pencil's dense solve takes two blocks of about n_free/2, so it
 # crosses over lower.  Unit triple, same host and settings, best of two
-# samples of two runs each (BENCH_15.json); the sliced path is unchanged:
+# samples of two runs each, with the mirror split on the dense path alone
+# (BENCH_15.json):
 #   n_free   363 (trace m=5):        dense 0.012; sliced k=10 0.011, k=30 0.022
 #   n_free 1,092 (trace m=6):        dense 0.096; k=50 0.042, k=100 0.087, k=200 0.174
 #   n_free 1,821 (arc FEM m=5, r=3): dense 0.32; k=200 0.25, k=300 0.38
 #   n_free 2,550 (arc FEM m=5, r=4): dense 0.98; k=500 0.89, k=700 1.44
 #   n_free 3,279 (trace m=7):        dense 1.79; k=300 0.87, k=500 1.67, k=700 2.23
-# That is k / n_free**2 of 5-9e-5.  The rule still routes every pencil by
-# 1.8e-4: a route change is a measured change of its own.
+# That is k / n_free**2 of 5-9e-5.  Both paths now run on the D3 blocks of
+# the unit triple (A1, A2 of about n/6, E of about n/3, solved once), so its
+# crossover has moved again and is not re-measured here.  The rule still
+# routes every pencil by 1.8e-4 of the whole n_free: a per-block crossover
+# is a measured change of its own.
 DENSE_KN2 = 1.8e-4  # dense from k = DENSE_KN2 * n_free**2, sliced below
 # From a sweep of trace m = 7, 8, 9 at k = 300 and 1000 (BENCH_11.json): sizes
 # 40-64 run within 15% of each other and 1.2-1.8x faster than 220, as ARPACK's
@@ -69,8 +80,8 @@ PIVOT_RTOL = 1e-12  # min/max |pivot| below this: the shift sits on an eigenvalu
 BOUND_CLUSTER_RTOL = 1e-10  # a computed eigenvalue this close moves a slice bound
 BOUND_STEP_RTOL, BOUND_MOVES = 1e-8, 4  # first move of a bound (x10 per further move), cap
 # K and the mass may move this much, relative to their largest entries, under
-# a mirror; the builders' mirrors move them by at most 4e-16 (trace, m <= 9)
-# and 1.8e-13 (arc FEM, m <= 6, from the positions' roundoff)
+# a mirror or a rotation; the builders' mirrors move them by at most 4e-16
+# (trace, m <= 9) and 1.8e-13 (arc FEM, m <= 6, from the positions' roundoff)
 MIRROR_RTOL = 1e-10
 
 
@@ -80,8 +91,13 @@ class GeneralizedEVP:
 
     ``mirror``, if set, is an involution of the vertex ids that maps
     ``boundary`` onto itself and leaves K and the mass invariant within
-    ``MIRROR_RTOL`` of their largest entries; ``ValueError`` otherwise.  The
-    dense solve then splits the pencil into its even and odd blocks.
+    ``MIRROR_RTOL`` of their largest entries; ``ValueError`` otherwise.
+    ``rotation``, if set, needs the mirror and is a permutation r of the
+    vertex ids with r(r(r(i))) = i, conjugated to its inverse by the mirror
+    (s r s = r^-1), that maps ``boundary`` onto itself and leaves K and the
+    mass invariant within ``MIRROR_RTOL``; ``ValueError`` otherwise.  The two
+    generate D3.  ``solve`` runs on the blocks of the group they generate:
+    even and odd with a mirror alone, A1, A2 and E (twice) with both.
     """
 
     stiffness: sp.csr_matrix
@@ -89,6 +105,7 @@ class GeneralizedEVP:
     boundary: tuple[int, ...]
     meta: dict = field(default_factory=dict)
     mirror: np.ndarray | None = None
+    rotation: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.stiffness.shape[0]
@@ -109,6 +126,19 @@ class GeneralizedEVP:
                 raise ValueError("mirror must map the boundary onto itself")
             if not _is_symmetry(p, self.stiffness, self.mass):
                 raise ValueError("mirror must leave the stiffness and the mass invariant")
+        if self.rotation is not None:
+            self.rotation = r = np.asarray(self.rotation)
+            if self.mirror is None:
+                raise ValueError("a rotation needs a mirror")
+            if (r.shape != (n,) or r.dtype.kind not in "iu" or np.any((r < 0) | (r >= n))
+                    or np.any(r[r[r]] != np.arange(n))):
+                raise ValueError("rotation must be a permutation of the vertex ids of order 3")
+            if np.any(p[r[p]] != r[r]):
+                raise ValueError("the mirror must conjugate the rotation to its inverse")
+            if not _keeps(r, self.boundary):
+                raise ValueError("rotation must map the boundary onto itself")
+            if not _is_symmetry(r, self.stiffness, self.mass):
+                raise ValueError("rotation must leave the stiffness and the mass invariant")
 
     @property
     def n_total(self) -> int:
@@ -120,68 +150,85 @@ class GeneralizedEVP:
 
 
 def evp_from_trace(t: DiskTriple, m: int, dirichlet="v0", mass_scheme="mu", cx=None):
-    """Trace pencil on V_m, with a mirror if the triple has one (``_mirror``)."""
+    """Trace pencil on V_m, with the triple's mirror and rotation (``_mirror``)."""
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     form = assemble_trace_form(t, m, cx)
     mass = assemble_mass_trace(t, m, cx, scheme=mass_scheme)
     K, boundary = form.stiffness(), _resolve_boundary(dirichlet, form.n_vertices)
+    mirror, rotation = _mirror(t, cx, m, K, mass.values, boundary)
     return GeneralizedEVP(
         stiffness=K,
         mass=mass.values,
         boundary=boundary,
         meta={"scheme": "trace", "depth": m, "mass_scheme": mass_scheme},
-        mirror=_mirror(t, cx, m, K, mass.values, boundary),
+        mirror=mirror,
+        rotation=rotation,
     )
 
 
 def evp_from_arc_fem(t: DiskTriple, m: int, refine: int, dirichlet="v0", cx=None):
-    """Arc FEM pencil, with a mirror if the triple has one (``_mirror``)."""
+    """Arc FEM pencil, with the triple's mirror and rotation (``_mirror``)."""
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     net = assemble_arc_fem(t, m, refine, cx)
     K, mass = net.stiffness(), net.mass_vector().values
     boundary = _resolve_boundary(dirichlet, net.n_vertices)
+    mirror, rotation = _mirror(t, cx, m, K, mass, boundary, net)
     return GeneralizedEVP(
         stiffness=K,
         mass=mass,
         boundary=boundary,
         meta={"scheme": "arcfem", "depth": m, "refine": refine},
-        mirror=_mirror(t, cx, m, K, mass, boundary, net),
+        mirror=mirror,
+        rotation=rotation,
     )
 
 
 def _mirror(t: DiskTriple, cx, m: int, K, mass, boundary, net=None):
-    """The first mirror of the triple that maps ``boundary`` onto itself and
-    leaves the pencil (K, mass) invariant, or None.
+    """(mirror, rotation) of the triple that map ``boundary`` onto itself and
+    leave the pencil (K, mass) invariant; None for each one that it lacks.
 
     Members i and j of exactly equal curvature are swapped by the reflection
     in the line through the third member's centre and the point q where i
-    and j touch.  It maps the cell of word w to the cell whose word swaps the
-    letters i and j, and slot s of one to slot sigma(s) of the other (sigma
-    swaps i and j), so the cell tree gives the map of V_m with no geometry;
-    ``net.extend_vertex_map`` carries it along the arc network's pieces.  The
-    trace pencil is a function of the curvatures alone, so it is invariant
-    (``GeneralizedEVP`` checks it); the arc network is built from the disks'
-    positions, which a triple given as disks may hold only to within
-    roundoff of the mirror image, so its candidates are checked here.
+    and j touch.  A permutation sigma of the three letters maps the cell of
+    word w to the cell whose word applies sigma to each letter, and slot s
+    of one to slot sigma(s) of the other, so the cell tree gives the map of
+    V_m with no geometry: sigma swaps i and j for the mirror, and is
+    [1, 2, 0] for the order-3 rotation of a triple with three equal
+    curvatures, which is sought once a mirror is found.
+    ``net.extend_vertex_map`` carries either along the arc network's pieces.
+    The trace pencil is a function of the curvatures alone, so it is
+    invariant (``GeneralizedEVP`` checks it); the arc network is built from
+    the disks' positions, which a triple given as disks may hold only to
+    within roundoff of the image, so its candidates are checked here.
     """
+    vids = cx.vertex_ids[m]
+
+    def tree_map(sigma):
+        cells = np.zeros(1, dtype=int)  # the image of each depth-m cell
+        for _ in range(m):
+            cells = (3 * cells[:, None] + sigma).ravel()
+        vmap = np.empty(cx.num_vertices_at(m), dtype=int)
+        vmap[vids] = vids[cells][:, sigma]
+        return vmap if net is None else net.extend_vertex_map(vmap)
+
+    def admissible(vmap):
+        return _keeps(vmap, boundary) and (net is None or _is_symmetry(vmap, K, mass))
+
     for i, j in ((1, 2), (0, 2), (0, 1)):
         if t.quad[i] != t.quad[j]:
             continue
         sigma = np.arange(3)
         sigma[[i, j]] = j, i
-        cells = np.zeros(1, dtype=int)  # the mirror image of each depth-m cell
-        for _ in range(m):
-            cells = (3 * cells[:, None] + sigma).ravel()
-        vids = cx.vertex_ids[m]
-        mirror = np.empty(cx.num_vertices_at(m), dtype=int)
-        mirror[vids] = vids[cells][:, sigma]
-        if net is not None:
-            mirror = net.extend_vertex_map(mirror)
-        if _keeps(mirror, boundary) and (net is None or _is_symmetry(mirror, K, mass)):
-            return mirror
-    return None
+        mirror = tree_map(sigma)
+        if not admissible(mirror):
+            continue
+        if t.quad[0] == t.quad[1] == t.quad[2]:
+            rotation = tree_map(np.array([1, 2, 0]))
+            return mirror, rotation if admissible(rotation) else None
+        return mirror, None
+    return None, None
 
 
 def _max_abs(x) -> float:
@@ -312,28 +359,38 @@ def solve(
 
     ``how_many=None`` returns the full spectrum.  A request for k of n free
     eigenvalues with k >= ``DENSE_KN2`` * n**2 (the module constant, read at
-    call time), and any full-spectrum request, is solved by dense divide and
-    conquer (LAPACK ``syevd``) on a Fortran-order copy of each block of the
-    pencil that LAPACK overwrites, which saves the copy f2py would make of a
-    C-order array; smaller requests go through shift-invert Lanczos slices
-    whose completeness is verified by sparse inertia counts.
+    call time, on the whole n whatever the split), and any full-spectrum
+    request, is solved by dense divide and conquer (LAPACK ``syevd``) on a
+    Fortran-order copy of each block of the pencil that LAPACK overwrites,
+    which saves the copy f2py would make of a C-order array; smaller requests
+    go through shift-invert Lanczos slices whose completeness is verified by
+    sparse inertia counts.
 
-    The dense blocks are Q^T A Q for the orthonormal bases Q of
-    ``_mirror_bases``: A itself without a mirror, else its even and odd
-    blocks, whose sizes differ by the number of free vertices the mirror
-    fixes.  A mirror leaves A invariant within ``MIRROR_RTOL``, so the two
-    blocks hold its spectrum up to that roundoff.  The k lowest of the
-    merged spectra are mapped back to the free vertices, block by block, and
-    certified by the unchanged residual against the original K and mass, so
-    a split that moved an eigenpair fails the certificate.  Inertia holds by
-    construction, as before: the blocks' n eigenvalues are those of A in an
-    orthonormal basis, less a coupling the mirror bounds by ``MIRROR_RTOL``,
-    and the k lowest are reported.  ``meta["blocks"]`` lists the block sizes,
-    ``[n]`` without a split (and on the sliced path).
+    The blocks are Q^T A Q for the orthonormal bases Q of
+    ``_symmetry_bases``: A itself without a mirror; the even and odd blocks
+    with a mirror alone; A1, A2 and E with a mirror and a rotation, E with a
+    second basis Q_E' onto the odd E vectors that gives the same block, so E
+    is solved once and each of its eigenvalues is reported twice, with equal
+    bits.  The symmetries leave A invariant within ``MIRROR_RTOL``, so the
+    blocks hold its spectrum up to that roundoff.  The dense path runs
+    ``syevd`` per block, merges the spectra with multiplicity, and keeps
+    the k lowest.  The sliced path places one bound whose count, summed
+    over the blocks with multiplicity, reaches k + 1, slices each block
+    below it and merges likewise (``_sliced_lanczos``).  Each kept pair is
+    mapped back to the free vertices through its block's basis (both
+    bases for E) and certified by the unchanged residual against the
+    original K and mass, so a split that moved an eigenpair fails the
+    certificate.  Inertia adds over an orthogonal split, so the counts of
+    the sliced path certify the whole pencil.  ``meta["blocks"]`` lists the
+    block sizes, E twice, summing to n (``[n]`` without a split), and
+    ``meta["symmetry"]`` the group: ``"none"``, ``"mirror"`` or ``"D3"``.
 
     Either way ``meta["inertia_verified"]`` is True and
-    ``meta["residual_max"]`` certifies exactly the k reported pairs; the
-    sliced path also records its slices under ``meta["slices"]``.
+    ``meta["residual_max"]`` certifies every reported pair: exactly the k
+    reported pairs on the dense path and without a split, and on a split
+    sliced solve also the few pairs between the k-th eigenvalue and the
+    shared bound.  The sliced path also records its slices under
+    ``meta["slices"]``.
     """
     if how_many is not None and how_many < 0:
         raise ValueError(f"how_many must be non-negative, got {how_many}")
@@ -341,32 +398,24 @@ def solve(
     n = len(free)
     k = n if how_many is None else min(int(how_many), n)
     lam_scale = _gershgorin_upper(A)
+    bases = _symmetry_bases(evp, free)
 
     meta = dict(evp.meta)
-    meta.update({"boundary": tuple(evp.boundary), "n_free": n, "blocks": [n]})
+    meta.update({"boundary": tuple(evp.boundary), "n_free": n,
+                 "blocks": [n if Q is None else Q.shape[1] for copies in bases for Q in copies],
+                 "symmetry": "none" if evp.mirror is None
+                 else "mirror" if evp.rotation is None else "D3"})
     meta["method"] = "dense" if k == n or k >= DENSE_KN2 * n * n else "lanczos-shift-invert"
 
     if k == 0:  # nothing asked: no factorization on either path
         lams, res = np.empty(0), 0.0
-    elif meta["method"] == "dense":
-        bases = _mirror_bases(evp.mirror, free)
-        blocks = []
-        for Q in bases:
-            B = A if Q is None else Q.T @ A @ Q
-            # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
-            blocks.append(sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
-                                   check_finite=False))
-        meta["blocks"] = [len(lam_b) for lam_b, _ in blocks]
-        lams = np.concatenate([lam_b for lam_b, _ in blocks])
-        kept = np.argsort(lams, kind="stable")[:k]  # a prefix of each ascending block
-        which = np.searchsorted(np.cumsum(meta["blocks"]), kept, side="right")
-        res = 0.0
-        for Q, (lam_b, Y_b), k_b in zip(bases, blocks, np.bincount(which, minlength=len(bases))):
-            Y_b = Y_b[:, :k_b]  # the block's kept pairs, mapped back to the free vertices
-            res = max(res, _residual_max(K, d, lam_b[:k_b], Y_b if Q is None else Q @ Y_b))
-        lams = lams[kept]
     else:
-        lams, res, meta["slices"] = _sliced_lanczos(A, K, d, k, lam_scale, seed)
+        blocks = [(A if copies[0] is None else _project(A, copies[0]), copies)
+                  for copies in bases]
+        if meta["method"] == "dense":
+            lams, res = _dense(blocks, K, d, k)
+        else:
+            lams, res, meta["slices"] = _sliced_lanczos(blocks, K, d, k, lam_scale, seed)
     meta.update(inertia_verified=True, residual_max=res, lambda_scale=lam_scale)
     if res > RESIDUAL_RTOL * max(lam_scale, 1e-300):
         raise NotConverged(
@@ -384,27 +433,98 @@ def solve(
     return spec
 
 
-def _mirror_bases(mirror, free) -> list:
-    """Sparse orthonormal bases (n_free, b) of the even and odd free vectors.
+def _symmetry_bases(evp: GeneralizedEVP, free) -> list[list]:
+    """Sparse orthonormal bases (n_free, b) of the symmetry blocks, one list
+    per block to solve: ``[[None]]`` (the identity) without a mirror.
 
-    e_i for each free vertex the mirror fixes, and (e_i + e_j) / sqrt(2) for
-    each swapped pair i < j, span the even vectors; (e_i - e_j) / sqrt(2)
-    the odd ones.  ``[None]`` (the identity) without a mirror.
+    With a mirror s alone the group is {1, s}, with a rotation r as well
+    D3 = {1, r, r^2, s, sr, sr^2}.  Each free vertex x has the orbit
+    g(x) over the group's elements g, and one per orbit stands for it: the
+    one s fixes if the orbit has one, else the lowest.  A block's basis
+    vectors are, per orbit, sum_g c_g e_g(x) for each row c of its closed
+    form, normalized; an orbit smaller than the group repeats points, whose
+    coefficients add up exactly (they are small integers) and may cancel,
+    and a vector that cancels to zero is dropped.
+      - {1, s}: even c = (1, 1), odd c = (1, -1).
+      - D3, over (1, r, r^2, s, sr, sr^2): A1 (even, r-invariant)
+        c = (1, 1, 1, 1, 1, 1); A2 (odd, r-invariant) c = (1, 1, 1, -1, -1, -1);
+        E (even, orthogonal to the r-invariant vectors) the two rows
+        (2, -1, -1, 2, -1, -1) and (0, 1, -1, 0, 1, -1), which are the even
+        pair sums p_j = e_{r^j x} + e_{s r^j x} combined as 2 p_0 - p_1 - p_2
+        and p_1 - p_2.
+    E comes with a second basis Q_E' = (R - R^2) Q_E / sqrt(3), where
+    (R v)_i = v_{r(i)}: it is odd, and since 1 + R + R^2 vanishes on E,
+    ||(R - R^2) v||^2 = 3 ||v||^2, so Q_E' is an isometry onto the odd E
+    vectors with Q_E'^T A Q_E' = Q_E^T A Q_E.  An orbit of size 6 gives
+    one A1, one A2 and two E vectors; one of size 3 (on a mirror line) one
+    A1 and one E; one of size 2 (fixed by r) one A1 and one A2; one of
+    size 1 one A1.  Empty blocks are left out.
     """
-    if mirror is None:
-        return [None]
     n = len(free)
-    at = np.empty(len(mirror), dtype=int)
+    if evp.mirror is None or n == 0:
+        return [[None]]
+    at = np.empty(evp.n_total, dtype=int)
     at[free] = np.arange(n)
-    image = at[mirror[free]]  # the mirror on free positions
-    fixed, lo = np.flatnonzero(image == np.arange(n)), np.flatnonzero(image > np.arange(n))
-    f, c, h = len(fixed), np.arange(len(lo)), math.sqrt(0.5)
-    even = sp.csr_matrix((np.r_[np.ones(f), np.full(2 * len(lo), h)],
-                          (np.r_[fixed, lo, image[lo]], np.r_[np.arange(f), f + c, f + c])),
-                         shape=(n, f + len(lo)))
-    odd = sp.csr_matrix((np.r_[np.full(len(lo), h), np.full(len(lo), -h)],
-                         (np.r_[lo, image[lo]], np.r_[c, c])), shape=(n, len(lo)))
-    return [even, odd]
+    ids, s = np.arange(n), at[evp.mirror[free]]  # the group on free positions
+    if evp.rotation is None:
+        images, rows = [ids, s], [[[1, 1]], [[1, -1]]]
+    else:
+        r = at[evp.rotation[free]]
+        images = [ids, r, r[r], s, s[r], s[r[r]]]
+        rows = [[[1, 1, 1, 1, 1, 1]], [[1, 1, 1, -1, -1, -1]],
+                [[2, -1, -1, 2, -1, -1], [0, 1, -1, 0, 1, -1]]]
+    orbits = np.stack(images, axis=1)
+    lowest, fixed = orbits.min(axis=1), s == ids
+    has_fixed = np.zeros(n, dtype=bool)
+    has_fixed[lowest[fixed]] = True
+    orbits = orbits[np.where(has_fixed[lowest], fixed, lowest == ids)]
+    bases = []
+    for c in rows:
+        c = np.asarray(c, dtype=float)
+        shape = (len(orbits), len(c), orbits.shape[1])
+        col = np.arange(shape[0] * shape[1]).reshape(shape[:2])
+        Q = sp.csc_matrix((np.broadcast_to(c, shape).ravel(),
+                           (np.broadcast_to(orbits[:, None, :], shape).ravel(),
+                            np.broadcast_to(col[:, :, None], shape).ravel())),
+                          shape=(n, col.size))  # repeated points add up
+        Q.eliminate_zeros()
+        norm = np.sqrt(np.asarray(Q.multiply(Q).sum(axis=0)).ravel())
+        Q = (Q[:, norm > 0.0] @ sp.diags(1.0 / norm[norm > 0.0])).tocsr()
+        bases.append([Q])
+    if evp.rotation is not None:  # the odd partner of E
+        Q = bases[2][0]
+        partner = (Q[r] - Q[r[r]]) / math.sqrt(3.0)
+        partner.eliminate_zeros()
+        bases[2].append(partner.tocsr())
+    return [copies for copies in bases if copies[0].shape[1]]
+
+
+def _project(A: sp.csr_matrix, Q: sp.csr_matrix) -> sp.csr_matrix:
+    """The block Q^T A Q, symmetrized like the pencil in ``_free_pencil``."""
+    B = Q.T @ (A @ Q)
+    return ((B + B.T) * 0.5).tocsr()
+
+
+def _dense(blocks, K, d, k: int):
+    """The k lowest eigenvalues of the blocks by ``syevd``, and their residual.
+
+    ``blocks`` holds (B, bases) per block; each eigenvalue of B is reported
+    once per basis (twice for E).
+    """
+    solved = []
+    for B, _ in blocks:
+        # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
+        solved.append(sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
+                               check_finite=False))
+    copies = [(Q, lam_b, Y_b) for (_, bases), (lam_b, Y_b) in zip(blocks, solved) for Q in bases]
+    lams = np.concatenate([lam_b for _, lam_b, _ in copies])
+    kept = np.argsort(lams, kind="stable")[:k]  # a prefix of each ascending block
+    which = np.searchsorted(np.cumsum([len(lam_b) for _, lam_b, _ in copies]), kept, side="right")
+    res = 0.0
+    for (Q, lam_b, Y_b), k_b in zip(copies, np.bincount(which, minlength=len(copies))):
+        Y_b = Y_b[:, :k_b]  # the block's kept pairs, mapped back to the free vertices
+        res = max(res, _residual_max(K, d, lam_b[:k_b], Y_b if Q is None else Q @ Y_b))
+    return lams[kept], res
 
 
 def _moved(b: float, moves: list) -> float:
@@ -415,11 +535,11 @@ def _moved(b: float, moves: list) -> float:
     return moves[-1][1]
 
 
-def _clear_count(A: sp.csr_matrix, b: float, moves: list) -> tuple[float, int]:
-    """(bound, count_below there), moving the bound up while the count refuses."""
+def _clear_count(count, b: float, moves: list):
+    """(bound, count(bound)), moving the bound up while the count refuses."""
     while True:
         try:
-            return b, count_below(A, b)
+            return b, count(b)
         except DegenerateShift:
             b = _moved(b, moves)
 
@@ -444,68 +564,137 @@ def _guess(lo: float, c_lo: int, hi: float, c_hi: int, target: float) -> float:
     return x if lo < x < hi else _split(lo, hi)
 
 
-def _sliced_lanczos(A: sp.csr_matrix, K, d, k: int, top: float, seed: int):
+def _bound(count, counted: list, target: int, step: int):
+    """The slice bound for ``target``: (shift, count, moves) from ``counted``.
+
+    ``counted`` holds (shift, count, moves) in increasing shift, and gains
+    every shift counted here.  The bound is the lowest counted shift whose
+    count reaches the target: the bracket between the nearest counted
+    shifts is split until that count is at most ``step // 8`` above it, or
+    the bracket is too narrow (1e-4 relative) to hold a moved split point,
+    or a split point cannot be counted even after its moves (the roundoff
+    band of a cluster, such as the zero modes of a disconnected pencil).
+    Each split is ``_guess``'s for target + step // 16, or ``_split``'s
+    after a guess that did not halve the bracket, so the bracket halves at
+    least every two counts.
+    """
+    width = BOUND_STEP_RTOL * 10.0**BOUND_MOVES
+    guided = True
+    while True:
+        j = bisect_left([c for _, c, _ in counted], target)
+        (below, c_below, _), (hi, c_hi, moves) = counted[j - 1], counted[j]
+        if c_hi <= target + step // 8 or hi - below <= width * hi:
+            return hi, c_hi, moves
+        mid = _split(below, hi)
+        x = _guess(below, c_below, hi, c_hi, target + step // 16) if guided else mid
+        split_moves = []
+        try:
+            x, c = _clear_count(count, x, split_moves)
+        except NotConverged:  # the split lies in the roundoff band of a cluster
+            return hi, c_hi, moves
+        insort(counted, (x, c, split_moves), key=lambda e: e[0])
+        guided = x <= mid if c >= target else x >= mid  # the bracket halved
+
+
+def _steps(total: int) -> tuple[int, int]:
+    """(number of slices, target step) for ``total`` eigenvalues."""
+    n_slices = math.ceil(total / SLICE_SIZE)
+    return n_slices, math.ceil(total / n_slices)
+
+
+def _sliced_lanczos(blocks, K, d, k: int, top: float, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
-    With S = ceil((k+1) / SLICE_SIZE) slices the targets are i * ceil((k+1) / S)
-    and, last, k + 1.  For each target the loop places the slice's upper bound,
-    solves the slice and moves on, until a count reaches k.  The bound is the
-    lowest counted shift whose ``count_below`` reaches the target: the bracket
-    between the nearest counted shifts is split until that count is at most
-    ``step // 8`` above it, or the bracket is too narrow (1e-4 relative) to
-    hold a moved split point, or a split point cannot be counted even after
-    its moves (the roundoff band of a cluster, such as the zero modes of a
-    disconnected pencil).  Each split is ``_guess``'s for target + step // 16,
-    or ``_split``'s after a guess that did not halve the bracket, so the
-    bracket halves at least every two counts.  The bracket starts as
-    [-1e-12 top, top] around the semidefinite spectrum, so every bound is a
-    counted shift and a slice holds exactly the eigenvalues its two counts
-    promise.  A bound whose count is refused, or within ``BOUND_CLUSTER_RTOL``
-    of a computed eigenvalue, is moved up.  Each slice certifies the pairs it
-    keeps (the lowest, up to k) and drops its vectors.  Returns the k lowest
-    eigenvalues, ascending, the worst residual, and per slice its bounds,
-    count, last ``k`` requested, attempts and moves of ``hi``.
+    ``blocks`` holds (B, bases) per block, each eigenvalue of B reported
+    once per basis.  One block is sliced for k + 1 eigenvalues and keeps
+    the k lowest.  Several share one bound first: ``_bound`` places it on
+    the counts summed over the blocks, each weighted by its number of
+    bases, for target k + 1, and a count that any block refuses moves the
+    shared shift.  Each block is then sliced for its own count below that
+    bound, starting from the shifts counted for it on the way, and keeps
+    all of them; the merged eigenvalues, with multiplicity, hold the k
+    lowest of the pencil.  The bracket starts as [-1e-12 top, top] around
+    the semidefinite spectrum.  Returns the k lowest eigenvalues, ascending,
+    the worst residual, and the slices of all blocks (``_slice_block``).
     """
-    n = A.shape[0]
+    lo, top_moves = -1e-12 * top, []
+    if len(blocks) == 1:
+        B = blocks[0][0]
+        counted = [[(lo, 0, []), (*_clear_count(lambda x: count_below(B, x), top, top_moves),
+                                  top_moves)]]
+        totals, keeps = [k + 1], [k]
+    else:
+        counts = {}  # each block's count at each shared shift
+
+        def summed(x):
+            counts[x] = [count_below(B, x) for B, _ in blocks]
+            return sum(len(bases) * c for (_, bases), c in zip(blocks, counts[x]))
+
+        shared = [(lo, 0, []), (*_clear_count(summed, top, top_moves), top_moves)]
+        bound = _bound(summed, shared, k + 1, _steps(k + 1)[1])[0]
+        counted = [[(lo, 0, [])] + [(x, counts[x][b], list(moves)) for x, _, moves in shared[1:]
+                                    if x <= bound] for b in range(len(blocks))]
+        totals = keeps = counts[bound]
     rng = np.random.default_rng(seed)
-    v0 = np.ones(n) + 0.01 * rng.standard_normal(n)
-    n_slices = math.ceil((k + 1) / SLICE_SIZE)
-    step = math.ceil((k + 1) / n_slices)
-    width = BOUND_STEP_RTOL * 10.0**BOUND_MOVES
-    hi, c_hi, top_moves = -1e-12 * top, 0, []  # the first slice starts at this hi
-    counted = [(hi, c_hi, []), (*_clear_count(A, top, top_moves), top_moves)]
-    slices, lams_all, res = [], [], 0.0
-    for target in [i * step for i in range(1, n_slices)] + [k + 1]:
+    slices, found, res = [], [], 0.0
+    first = np.cumsum([0] + [len(bases) for _, bases in blocks])  # in meta["blocks"]
+    for (B, bases), counted_b, total, keep, b in zip(blocks, counted, totals, keeps, first):
+        if keep == 0:
+            continue
+        v0 = np.ones(B.shape[0]) + 0.01 * rng.standard_normal(B.shape[0])
+        res = max(res, _slice_block(B, bases, K, d, keep, total, counted_b, v0, found,
+                                    slices, int(b)))
+    return np.sort(np.concatenate(found))[:k], res, slices
+
+
+def _slice_block(B, bases, K, d, k: int, total: int, counted: list, v0, found: list,
+                 slices: list, block: int) -> float:
+    """Slice block B for ``total`` eigenvalues and keep its k lowest.
+
+    With S = ceil(total / SLICE_SIZE) slices the targets are
+    i * ceil(total / S) and, last, ``total``.  For each target the loop
+    places the slice's upper bound (``_bound`` on ``counted``, which starts
+    with the lowest bound and its count of 0), solves the slice and moves
+    on, until a count reaches k.  Every bound is a counted shift, so a
+    slice holds exactly the eigenvalues its two counts promise.  A bound
+    within ``BOUND_CLUSTER_RTOL`` of a computed eigenvalue is moved up.  Each
+    slice certifies the pairs it keeps (the lowest, up to k) through each
+    basis and drops its vectors; their eigenvalues go to ``found``, once
+    per basis.  Appends per slice to ``slices`` its block (its first index
+    in ``meta["blocks"]``), number of bases (``copies``), bounds, count,
+    last ``k`` requested, attempts and moves of ``hi``, and returns the
+    worst residual.
+
+    A block of a split spans several times the range of lambda per slice
+    that the whole pencil would, and shift-invert Lanczos finds
+    lambda = sigma + 1/theta only to about eps |theta_max| (lambda - sigma)^2,
+    which at the bottom of a wide first slice reached 2.5e-10 relative
+    (lambda_1 of trace m=7 on the unit triple).  So a split block reports
+    the Rayleigh quotients y^T B y / y^T y of its vectors, whose error is
+    second order in theirs; the unsplit pencil keeps ARPACK's values.
+    """
+    n = B.shape[0]
+    n_slices, step = _steps(total)
+    hi, c_hi, _ = counted[0]
+    res = 0.0
+    for target in [i * step for i in range(1, n_slices)] + [total]:
         lo, c_lo = hi, c_hi
-        guided = True
-        while True:
-            j = bisect_left([c for _, c, _ in counted], target)
-            (below, c_below, _), (hi, c_hi, moves) = counted[j - 1], counted[j]
-            if c_hi <= target + step // 8 or hi - below <= width * hi:
-                break
-            mid = _split(below, hi)
-            x = _guess(below, c_below, hi, c_hi, target + step // 16) if guided else mid
-            split_moves = []
-            try:
-                x, c = _clear_count(A, x, split_moves)
-            except NotConverged:  # the split lies in the roundoff band of a cluster
-                break
-            insort(counted, (x, c, split_moves), key=lambda e: e[0])
-            guided = x <= mid if c >= target else x >= mid  # the bracket halved
+        hi, c_hi, moves = _bound(lambda x: count_below(B, x), counted, target, step)
         want = c_hi - c_lo
-        record = dict(lo=lo, hi=hi, count=want, k_requested=0, attempts=0, moves=moves)
+        record = dict(block=block, copies=len(bases), lo=lo, hi=hi, count=want,
+                      k_requested=0, attempts=0, moves=moves)
         slices.append(record)
         if want <= 0:
             continue
         pad = 8
         for attempt in range(4):
             k_req = min(want + pad, n - 1)
-            lam_i, y_i = spla.eigsh(A, k=k_req, sigma=0.5 * (lo + hi), which="LM", v0=v0,
+            lam_i, y_i = spla.eigsh(B, k=k_req, sigma=0.5 * (lo + hi), which="LM", v0=v0,
                                     maxiter=5000)
             record.update(k_requested=k_req, attempts=attempt + 1)
             # never split a roundoff cluster at the top of the window
             while np.any(np.abs(lam_i - hi) <= BOUND_CLUSTER_RTOL * abs(hi)):
-                hi, c_hi = _clear_count(A, _moved(hi, moves), moves)
+                hi, c_hi = _clear_count(lambda x: count_below(B, x), _moved(hi, moves), moves)
             record["hi"] = hi
             want = record["count"] = c_hi - c_lo
             # half-open window matching the inertia difference #[lo, hi)
@@ -515,16 +704,22 @@ def _sliced_lanczos(A: sp.csr_matrix, K, d, k: int, top: float, seed: int):
             pad *= 4
         else:
             raise NotConverged(f"slice [{lo:.3e}, {hi:.3e}) kept missing eigenvalues",
-                               partial=np.concatenate([np.empty(0), *lams_all]))
+                               partial=np.sort(np.concatenate([np.empty(0), *found])))
         # the slices before hold exactly c_lo pairs: keep the lowest k - c_lo of this one
         kept = np.flatnonzero(sel)[np.argsort(lam_i[sel])[: k - c_lo]]
-        lams_all.append(lam_i[kept])
+        lam_k = lam_i[kept]
+        if bases[0] is not None:  # a split block: Rayleigh quotients (see above)
+            Y = y_i[:, kept]
+            lam_k = np.einsum("ij,ij->j", Y, B @ Y) / np.einsum("ij,ij->j", Y, Y)
+        found.append(np.repeat(lam_k, len(bases)))
         if len(kept) == 1 < k:  # a lone pair of k > 1 goes twice (see _residual_max)
-            kept = np.repeat(kept, 2)
-        res = max(res, _residual_max(K, d, lam_i[kept], y_i[:, kept]))
+            kept, lam_k = np.repeat(kept, 2), np.repeat(lam_k, 2)
+        Y = y_i[:, kept]
+        for Q in bases:
+            res = max(res, _residual_max(K, d, lam_k, Y if Q is None else Q @ Y))
         if c_hi >= k:
             break
-    return np.concatenate(lams_all), res, slices
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -609,17 +804,23 @@ class InterlacingReport:
 def interlacing_check(evp: GeneralizedEVP, V, rtol: float = 1e-9) -> InterlacingReport:
     """lambda_n <= lambda_n^V <= lambda_{n+#V} on a fixed discretization.
 
-    Both problems keep ``evp.mirror``, the constrained one when the mirror
-    maps V onto itself.
+    The base problem keeps the symmetries of ``evp``; the constrained one
+    takes the largest subgroup of theirs that maps V onto itself: D3, else
+    one of its mirrors (``evp.mirror`` or, with a rotation r, s r or
+    s r^2), else none.
     """
-    mirror = evp.mirror
     base = GeneralizedEVP(evp.stiffness, evp.mass, boundary=(), meta=dict(evp.meta),
-                          mirror=mirror)
+                          mirror=evp.mirror, rotation=evp.rotation)
     v_sorted = tuple(sorted(set(int(i) for i in V)))
-    if mirror is not None and not _keeps(mirror, v_sorted):
-        mirror = None
+    mirror, rotation = evp.mirror, evp.rotation
+    if rotation is None or not (_keeps(mirror, v_sorted) and _keeps(rotation, v_sorted)):
+        mirrors = [] if mirror is None else [mirror]
+        if rotation is not None:
+            mirrors += [mirror[rotation], mirror[rotation[rotation]]]
+        mirror = next((p for p in mirrors if _keeps(p, v_sorted)), None)
+        rotation = None
     cons = GeneralizedEVP(evp.stiffness, evp.mass, boundary=v_sorted, meta=dict(evp.meta),
-                          mirror=mirror)
+                          mirror=mirror, rotation=rotation)
     # constraining V may split the graph; min-max interlacing still applies
     lam_free = solve(base, allow_disconnected=True).eigenvalues
     lam_v = solve(cons, allow_disconnected=True).eigenvalues

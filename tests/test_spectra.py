@@ -118,11 +118,16 @@ def test_iterative_path_matches_dense(unit_triple, monkeypatch):
     assert it.meta["inertia_verified"]
     assert np.max(np.abs(it.eigenvalues - dense[:k]) / dense[:k]) < 1e-9
     assert it.meta["residual_max"] <= 1e-8 * it.meta["lambda_scale"]
+    # the unit triple's pencil is sliced on its D3 blocks: the slices of each
+    # block are contiguous, and each E eigenvalue counts twice
     slices = it.meta["slices"]
-    assert sum(sl["count"] for sl in slices) >= k
+    assert it.meta["symmetry"] == "D3"
+    assert sum(sl["count"] * sl["copies"] for sl in slices) >= k
     assert all(sl["lo"] < sl["hi"] and sl["attempts"] >= (sl["count"] > 0) for sl in slices)
     assert all(sl["k_requested"] >= sl["count"] for sl in slices)
-    assert [sl["hi"] for sl in slices[:-1]] == [sl["lo"] for sl in slices[1:]]
+    for b in {sl["block"] for sl in slices}:
+        own = [sl for sl in slices if sl["block"] == b]
+        assert [sl["hi"] for sl in own[:-1]] == [sl["lo"] for sl in own[1:]]
     assert it.meta["trust_ceiling"] == spectra.trust_ceiling(it)
 
 
@@ -130,8 +135,8 @@ def test_iterative_path_matches_dense(unit_triple, monkeypatch):
                                     "arcfem m=5 refine 3 triple 2,1,2", "trace m=6 triple 2,1,2"])
 def test_dense_path_matches_eigvalsh(scheme):
     # the divide-and-conquer solve against numpy's eigvalsh on the same matrix;
-    # both triples (unit unless named) are mirrored, (2, 1, 2) in an oblique
-    # line, so the dense solve takes the even and odd blocks
+    # the unit triple takes its D3 blocks (A1, A2 and E, listed twice), and
+    # (2, 1, 2), mirrored in an oblique line, its even and odd blocks
     curvatures = scheme.split("triple ")[1].split(",") if "triple" in scheme else (1, 1, 1)
     t = geom.triple_from_curvatures(*map(float, curvatures))
     if scheme.startswith("arcfem"):
@@ -139,7 +144,7 @@ def test_dense_path_matches_eigvalsh(scheme):
     else:
         evp, k = spectra.evp_from_trace(t, 6), None
     s = spectra.solve(evp, how_many=k)
-    assert s.meta["method"] == "dense" and len(s.meta["blocks"]) == 2
+    assert s.meta["method"] == "dense" and len(s.meta["blocks"]) == (2 if "triple" in scheme else 4)
     _, _, _, A = spectra._free_pencil(evp, False)
     ref = np.linalg.eigvalsh(A.toarray())[: len(s)]
     floor = 1e-12 * s.meta["lambda_scale"]
@@ -239,17 +244,226 @@ def test_corrupted_mirror_raises(unit_triple, corruption, message):
 
 
 @pytest.mark.parametrize("scheme", ["trace m=5 v0", "trace m=5 none", "arcfem m=4 refine 3"])
-def test_mirror_block_sizes(unit_triple, scheme):
-    # the even block is larger by the number of free vertices the mirror fixes
+def test_mirror_block_sizes(scheme):
+    # the even block is larger by the number of free vertices the mirror
+    # fixes; (2, 1, 2) has a mirror and no rotation
+    t = geom.triple_from_curvatures(2.0, 1.0, 2.0)
     if scheme.startswith("arcfem"):
-        evp = spectra.evp_from_arc_fem(unit_triple, 4, 3)
+        evp = spectra.evp_from_arc_fem(t, 4, 3)
     else:
-        evp = spectra.evp_from_trace(unit_triple, 5, dirichlet=scheme.split()[-1])
+        evp = spectra.evp_from_trace(t, 5, dirichlet=scheme.split()[-1])
+    assert evp.rotation is None
     s = spectra.solve(evp)
     free = np.setdiff1d(np.arange(evp.n_total), evp.boundary)
     n_fixed = int(np.count_nonzero(evp.mirror[free] == free))
     even, odd = s.meta["blocks"]
     assert n_fixed > 0 and even - odd == n_fixed and even + odd == evp.n_free
+
+
+def _pencil_of(curvatures, scheme):
+    """"trace m=5 v0" or "arcfem m=4 refine 3 none" on the triple of ``curvatures``."""
+    t = geom.triple_from_curvatures(*curvatures)
+    words = scheme.split()
+    m, dirichlet = int(words[1][2:]), words[-1]
+    if words[0] == "arcfem":
+        return spectra.evp_from_arc_fem(t, m, int(words[3]), dirichlet=dirichlet)
+    return spectra.evp_from_trace(t, m, dirichlet=dirichlet)
+
+
+def _positions(evp, vmap):
+    """A vertex map of ``evp`` on the positions of its free vertices."""
+    free = np.setdiff1d(np.arange(evp.n_total), evp.boundary)
+    at = np.empty(evp.n_total, dtype=int)
+    at[free] = np.arange(len(free))
+    return at[vmap[free]]
+
+
+@pytest.mark.parametrize("scheme", ["trace", "arcfem"])
+@pytest.mark.parametrize("dirichlet", ["v0", "none"])
+def test_builders_set_the_rotation(unit_triple, scheme, dirichlet):
+    # the cell-tree rotation turns the points by 120 degrees about the
+    # centre of the unit triple; an isosceles triple, or a Dirichlet set the
+    # rotation moves, keeps the mirror alone
+    from gasketlab import forms
+
+    if scheme == "trace":
+        evp = spectra.evp_from_trace(unit_triple, 4, dirichlet=dirichlet)
+        points = forms.assemble_trace_form(unit_triple, 4).points
+    else:
+        evp = spectra.evp_from_arc_fem(unit_triple, 3, 3, dirichlet=dirichlet)
+        points = forms.assemble_arc_fem(unit_triple, 3, 3).points
+    r = evp.rotation
+    assert r is not None and len(r) == evp.n_total and sorted(r[:3]) == [0, 1, 2]
+    centre = np.mean([d.center for d in unit_triple.disks], axis=0)
+    x = points - centre
+    errors = []
+    for angle in (2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0):
+        c, s = math.cos(angle), math.sin(angle)
+        turned = centre + x @ np.array([[c, s], [-s, c]])
+        errors.append(np.max(np.abs(points[r] - turned)))
+    assert min(errors) <= 1e-12 * np.max(np.abs(points))
+    isosceles = geom.triple_from_curvatures(2.0, 1.0, 2.0)
+    for e in (spectra.evp_from_trace(isosceles, 4, dirichlet=dirichlet),
+              spectra.evp_from_trace(unit_triple, 4, dirichlet=(0,)),
+              spectra.evp_from_arc_fem(unit_triple, 2, 2, dirichlet=(1,))):
+        assert e.mirror is not None and e.rotation is None
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("order 2", "order 3"), ("not conjugated", "inverse"), ("boundary", "boundary"),
+    ("pencil", "invariant"), ("no mirror", "needs a mirror"),
+])
+def test_corrupted_rotation_raises(unit_triple, corruption, message):
+    evp = spectra.evp_from_trace(unit_triple, 4)
+    p, r, boundary, mass = evp.mirror, evp.rotation.copy(), evp.boundary, evp.mass
+    # a free vertex of a D3 orbit of six, which no mirror fixes
+    x = next(i for i in range(3, len(p)) if len({i, p[i], r[i], r[r[i]]}) == 4)
+    if corruption == "order 2":  # the mirror itself
+        r = p.copy()
+    elif corruption == "not conjugated":  # one 3-cycle of r, the identity elsewhere
+        cycle = [x, r[x], r[r[x]]]
+        r = np.arange(len(p))
+        r[cycle] = np.roll(cycle, -1)
+    elif corruption == "boundary":  # a corner the mirror fixes and the rotation moves
+        boundary = (next(c for c in range(3) if p[c] == c),)
+    elif corruption == "pencil":  # the mirror keeps the mass, the rotation moves it
+        mass = mass.copy()
+        mass[[x, p[x]]] *= 1.001
+    else:
+        p = None
+    with pytest.raises(ValueError, match=message):
+        spectra.GeneralizedEVP(evp.stiffness, mass, boundary, mirror=p, rotation=r)
+
+
+@pytest.mark.parametrize("group", ["D3", "D3 by the mirror s r", "mirror"])
+def test_symmetry_bases_are_orthonormal(group):
+    # together the bases are an orthonormal basis of the free vectors, and
+    # each has its symmetry: even (A1, E) or odd (A2, E'), r-invariant (A1,
+    # A2) or orthogonal to the r-invariant vectors (E, E').  The builders'
+    # mirror fixes the lowest vertex of each orbit of three; s r fixes
+    # another, which the orbit's basis vectors must be built on
+    evp = _pencil_of((2.0, 1.0, 2.0) if group == "mirror" else (1.0, 1.0, 1.0), "trace m=4 none")
+    if group == "D3 by the mirror s r":
+        evp = spectra.GeneralizedEVP(evp.stiffness, evp.mass, evp.boundary,
+                                     mirror=evp.mirror[evp.rotation], rotation=evp.rotation)
+    free = np.setdiff1d(np.arange(evp.n_total), evp.boundary)
+    bases = spectra._symmetry_bases(evp, free)
+    Q = np.hstack([Q.toarray() for copies in bases for Q in copies])
+    assert Q.shape == (len(free), len(free))
+    assert np.max(np.abs(Q.T @ Q - np.eye(len(free)))) <= 1e-14
+    s = _positions(evp, evp.mirror)
+    signs = [1, -1] if evp.rotation is None else [1, -1, 1, -1]
+    for Q_b, sign in zip([Q for copies in bases for Q in copies], signs):
+        assert np.max(np.abs(Q_b[s].toarray() - sign * Q_b.toarray())) <= 1e-15
+    if evp.rotation is not None:
+        r = _positions(evp, evp.rotation)
+        (A1,), (A2,), (E, E_odd) = bases
+        for Q_b in (A1, A2):
+            assert np.max(np.abs(Q_b[r].toarray() - Q_b.toarray())) <= 1e-15
+        for Q_b in (E, E_odd):
+            assert np.max(np.abs((Q_b + Q_b[r] + Q_b[r[r]]).toarray())) <= 1e-15
+
+
+def _orbit_sizes(evp):
+    """The size of the D3 orbit of each free vertex."""
+    free = np.setdiff1d(np.arange(evp.n_total), evp.boundary)
+    s, r = evp.mirror, evp.rotation
+    images = np.stack([free, r[free], r[r[free]], s[free], s[r[free]], s[r[r[free]]]], axis=1)
+    return np.array([len(set(row)) for row in images.tolist()])
+
+
+@pytest.mark.parametrize("scheme", ["trace m=5 v0", "trace m=5 none",
+                                    "arcfem m=4 refine 3 v0", "arcfem m=4 refine 3 none"])
+def test_d3_block_sizes(scheme):
+    # n_A1 + n_A2 + 2 n_E = n_free, and A1 is larger than A2 by the number
+    # of free orbits of size 3 or 1 (the orbits on the mirror lines)
+    evp = _pencil_of((1.0, 1.0, 1.0), scheme)
+    s = spectra.solve(evp)
+    n_a1, n_a2, n_e, n_e_odd = s.meta["blocks"]
+    size = _orbit_sizes(evp)
+    assert set(size.tolist()) <= {1, 2, 3, 6}
+    on_lines = int(round(np.sum(1.0 / size[np.isin(size, (1, 3))])))
+    assert s.meta["symmetry"] == "D3" and n_e == n_e_odd
+    assert n_a1 + n_a2 + 2 * n_e == evp.n_free
+    assert n_a1 - n_a2 == on_lines > 0
+
+
+@pytest.mark.parametrize("curvatures, scheme", [
+    ((1.0, 1.0, 1.0), "trace m=5 v0"), ((1.0, 1.0, 1.0), "trace m=5 none"),
+    ((1.0, 1.0, 1.0), "arcfem m=4 refine 3 v0"), ((1.0, 1.0, 1.0), "arcfem m=4 refine 3 none"),
+    ((2.0, 1.0, 2.0), "trace m=5 v0"),
+])
+def test_inertia_adds_over_the_blocks(curvatures, scheme):
+    # count_below(A, sigma) = sum over the blocks of copies * count_below(B, sigma)
+    evp = _pencil_of(curvatures, scheme)
+    free, _, _, A = spectra._free_pencil(evp, False)
+    bases = spectra._symmetry_bases(evp, free)
+    assert [len(copies) for copies in bases] == ([1, 1] if evp.rotation is None else [1, 1, 2])
+    blocks = [(spectra._project(A, copies[0]), len(copies)) for copies in bases]
+    checked = 0
+    for sigma in np.geomspace(1.0, spectra._gershgorin_upper(A), 40):
+        try:
+            whole = spectra.count_below(A, sigma)
+        except DegenerateShift:
+            continue
+        assert whole == sum(c * spectra.count_below(B, sigma) for B, c in blocks), sigma
+        checked += 1
+    assert checked >= 36
+
+
+@pytest.mark.parametrize("scheme, path, k", [
+    ("trace m=5 v0", "dense", 150), ("trace m=5 v0", "sliced", 150),
+    ("arcfem m=4 refine 3 none", "dense", 150), ("arcfem m=4 refine 3 none", "sliced", 150),
+    ("trace m=7 v0", "sliced", 300),
+])
+def test_d3_eigenvalues_match_the_unsplit_solve(monkeypatch, scheme, path, k):
+    # the D3 solve against the same pencil without its symmetries, on the
+    # same path; each E eigenvalue is reported twice, with equal bits.  On
+    # trace m=7 (the benchmark's sliced solve) lambda_1 sits at the bottom
+    # of a wide first A1 slice: ARPACK's value is 2.5e-10 off there, and the
+    # Rayleigh quotient is not
+    evp = _pencil_of((1.0, 1.0, 1.0), scheme)
+    plain = spectra.GeneralizedEVP(evp.stiffness, evp.mass, evp.boundary)
+    monkeypatch.setattr(spectra, "DENSE_KN2", 0.0 if path == "dense" else 1.0)
+    s, ref = spectra.solve(evp, how_many=k), spectra.solve(plain, how_many=k)
+    assert s.meta["symmetry"] == "D3" and ref.meta["symmetry"] == "none"
+    assert s.meta["method"] == ref.meta["method"] and len(s) == len(ref) == k
+    tol = np.where(ref.eigenvalues > 0.0, 1e-10 * ref.eigenvalues,
+                   1e-12 * s.meta["lambda_scale"])  # an absolute floor for the zero mode
+    assert np.all(np.abs(s.eigenvalues - ref.eigenvalues) <= tol)
+    assert s.meta["inertia_verified"]
+    assert s.meta["residual_max"] <= spectra.RESIDUAL_RTOL * s.meta["lambda_scale"]
+    free, _, _, A = spectra._free_pencil(evp, False)
+    E = spectra._symmetry_bases(evp, free)[2][0]
+    lam_e = np.linalg.eigvalsh(spectra._project(A, E).toarray())
+    lam_e = lam_e[lam_e < s.eigenvalues[-1] * (1.0 - 1e-9)]
+    values, counts = np.unique(s.eigenvalues, return_counts=True)
+    for lam in lam_e:
+        j = np.argmin(np.abs(values - lam))
+        assert counts[j] == 2 and abs(values[j] - lam) <= 1e-9 * lam
+    assert counts.max() == 2 and np.sum(counts == 2) in (len(lam_e), len(lam_e) + 1)
+
+
+def test_d3_certificate_covers_both_e_copies(unit_triple, monkeypatch):
+    # each kept E pair is certified through Q_E and through Q_E', on both paths
+    evp = spectra.evp_from_trace(unit_triple, 5)
+    residual_max, widths = spectra._residual_max, []
+
+    def spy(K, d, lams, Y):
+        widths.append(Y.shape[1])
+        return residual_max(K, d, lams, Y)
+
+    monkeypatch.setattr(spectra, "_residual_max", spy)
+    for dense_kn2 in (0.0, 1.0):
+        monkeypatch.setattr(spectra, "DENSE_KN2", dense_kn2)
+        widths.clear()
+        s = spectra.solve(evp, how_many=100)
+        if dense_kn2 == 0.0:  # A1, A2, E, E': exactly the k reported pairs
+            assert len(widths) == 4 and sum(widths) == 100
+        else:  # per slice, the E slices twice
+            e_slices = [sl for sl in s.meta["slices"] if sl["copies"] == 2 and sl["count"]]
+            assert len(widths) == sum(sl["copies"] for sl in s.meta["slices"] if sl["count"])
+            assert e_slices and sum(widths) >= 100
 
 
 @pytest.mark.parametrize("scheme", ["trace m=5", "arcfem m=4 refine 4 k=600"])
@@ -271,21 +485,30 @@ def test_unmirrored_dense_is_one_eigh_call(scheme):
 
 
 def test_interlacing_keeps_the_mirror(unit_triple, monkeypatch):
-    # the base problem and a constrained one whose V the mirror keeps take
-    # the split; the report matches the unsplit one
+    # the base problem keeps D3; the constrained one takes the largest
+    # subgroup that keeps V: D3, a mirror (evp.mirror, or the mirror of D3
+    # that fixes a corner the first one moves) or none.  The report matches
+    # the unsplit one
     evp = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
     plain = spectra.GeneralizedEVP(evp.stiffness, evp.mass, ())
-    solve, mirrored = spectra.solve, []
+    solve, groups = spectra.solve, []
 
     def recording(e, **kwargs):
-        mirrored.append(e.mirror is not None)
+        groups.append("D3" if e.rotation is not None else "mirror" if e.mirror is not None
+                      else None)
+        if e.mirror is not None:
+            assert spectra._keeps(e.mirror, e.boundary)
         return solve(e, **kwargs)
 
+    p = evp.mirror
+    x = next(i for i in range(3, evp.n_total) if p[i] != i)  # the mirror keeps {x, p[x]}
+    corner = next(c for c in range(3) if p[c] != c)  # another mirror fixes it
     monkeypatch.setattr(spectra, "solve", recording)
-    for V, split in (((0, 1, 2), [True, True]), ((0, 5), [True, False])):
-        mirrored.clear()
+    for V, split in (((0, 1, 2), ["D3", "D3"]), ((0, 5), ["D3", None]),
+                     ((x, int(p[x])), ["D3", "mirror"]), ((corner,), ["D3", "mirror"])):
+        groups.clear()
         rep = spectra.interlacing_check(evp, V)
-        assert mirrored == split
+        assert groups == split
         ref = spectra.interlacing_check(plain, V)
         assert rep.n_checked == ref.n_checked and rep.ok
         assert abs(rep.max_low_violation - ref.max_low_violation) <= 1e-10
@@ -515,20 +738,30 @@ def test_slice_loop_places_no_bound_past_k(unit_triple, monkeypatch):
     assert n_calls[1] == n_calls[0] > 0
 
 
-def test_slice_placement_by_counts(unit_triple, monkeypatch):
+def test_slice_placement_by_counts(monkeypatch):
+    _check_slice_placement((1.0, 1.0, 1.0), monkeypatch)
+
+
+def test_slice_placement_by_counts_unsplit(monkeypatch):
+    _check_slice_placement((1.0, 2.0, 3.0), monkeypatch)
+
+
+def _check_slice_placement(curvatures, monkeypatch):
     # trace m=7, k=1000: ceil(1001 / SLICE_SIZE) slices of at most
     # step + step // 8 eigenvalues (the placement tolerance), each bound a
-    # shift that count_below counted, and no eigsh call beyond one per slice
-    evp = spectra.evp_from_trace(unit_triple, 7)
+    # shift that count_below counted, and no eigsh call beyond one per slice.
+    # On the unit triple the same holds per D3 block, for the block's count
+    # below the shared bound in place of k + 1
+    evp = spectra.evp_from_trace(geom.triple_from_curvatures(*curvatures), 7)
     k = 1000
     n_slices = math.ceil((k + 1) / spectra.SLICE_SIZE)
     step = math.ceil((k + 1) / n_slices)
     counted, eigsh_calls = {}, []
     count_below, spla = spectra.count_below, spectra.spla
 
-    def counting(A, sigma):
-        counted[sigma] = count_below(A, sigma)
-        return counted[sigma]
+    def counting(A, sigma):  # keyed by the block size, which tells the blocks apart
+        counted[A.shape[0], sigma] = count_below(A, sigma)
+        return counted[A.shape[0], sigma]
 
     class CountingEigsh:
         def __getattr__(self, name):
@@ -541,12 +774,22 @@ def test_slice_placement_by_counts(unit_triple, monkeypatch):
     monkeypatch.setattr(spectra, "count_below", counting)
     monkeypatch.setattr(spectra, "spla", CountingEigsh())
     s = spectra.solve(evp, how_many=k)
-    slices = s.meta["slices"]
-    assert s.meta["inertia_verified"] and len(slices) == n_slices
-    assert all(sl["count"] <= step + step // 8 for sl in slices)
-    assert sum(sl["count"] for sl in slices) >= k + 1
-    assert all(counted[sl["hi"]] == sum(x["count"] for x in slices[: i + 1])
-               for i, sl in enumerate(slices))
+    slices, sizes = s.meta["slices"], s.meta["blocks"]
+    assert s.meta["inertia_verified"]
+    assert sum(sl["count"] * sl["copies"] for sl in slices) >= k + 1
+    if len(sizes) == 1:
+        assert len(slices) == n_slices
+        assert all(sl["count"] <= step + step // 8 for sl in slices)
+    for b in {sl["block"] for sl in slices}:
+        own = [sl for sl in slices if sl["block"] == b]
+        assert all(counted[sizes[b], sl["hi"]] == sum(x["count"] for x in own[: i + 1])
+                   for i, sl in enumerate(own))
+        if len(sizes) > 1 and not any(sl["moves"] for sl in own):
+            total = sum(sl["count"] for sl in own)  # the block's count below the shared bound
+            n_own = math.ceil(total / spectra.SLICE_SIZE)
+            step_own = math.ceil(total / n_own)
+            assert len(own) == n_own
+            assert all(sl["count"] <= step_own + step_own // 8 for sl in own)
     if all(sl["attempts"] <= 1 for sl in slices):
         assert len(eigsh_calls) == sum(sl["count"] > 0 for sl in slices)
 
@@ -598,21 +841,35 @@ def test_sliced_not_converged_when_slices_come_short(unit_triple, monkeypatch, s
     assert len(caught.value.partial) == 0  # the first slice already came short
 
 
-def test_sliced_not_converged_keeps_finished_slices(unit_triple, monkeypatch, short_eigsh):
-    # only the second slice comes short: the first slice's eigenvalues,
-    # all the dense eigenvalues below the first bound, are attached
-    evp = spectra.evp_from_trace(unit_triple, 5)
+def test_sliced_not_converged_keeps_finished_slices(monkeypatch, short_eigsh):
+    _check_finished_slices_kept((1.0, 1.0, 1.0), monkeypatch, short_eigsh)
+
+
+def test_sliced_not_converged_keeps_finished_slices_unsplit(monkeypatch, short_eigsh):
+    _check_finished_slices_kept((1.0, 2.0, 3.0), monkeypatch, short_eigsh)
+
+
+def _check_finished_slices_kept(curvatures, monkeypatch, short_eigsh):
+    # only the second slice comes short: the first slice's eigenvalues are
+    # attached.  Unsplit, they are all the dense eigenvalues below the first
+    # bound; on the unit triple's D3 blocks, those of the first block, A1
+    evp = spectra.evp_from_trace(geom.triple_from_curvatures(*curvatures), 5)
     dense = spectra.solve(evp).eigenvalues
     short_eigsh.honest = 100
     monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
-    first_hi = spectra.solve(evp, how_many=300).meta["slices"][0]["hi"]
+    first = spectra.solve(evp, how_many=300).meta["slices"][0]
     short_eigsh.honest = 1
     with pytest.raises(NotConverged, match="kept missing") as caught:
         spectra.solve(evp, how_many=300)
-    below = dense[dense < first_hi]
+    below = dense[dense < first["hi"]]
     partial = caught.value.partial
-    assert len(partial) == len(below) > 0
-    assert np.max(np.abs(partial - below) / below) < 1e-9
+    assert len(partial) == first["count"] * first["copies"] > 0
+    if evp.mirror is None:
+        assert len(partial) == len(below)
+        assert np.max(np.abs(partial - below) / below) < 1e-9
+    else:
+        assert first["block"] == 0 and len(partial) < len(below)
+        assert all(np.min(np.abs(below - x)) < 1e-9 * x for x in partial)
 
 
 @pytest.mark.parametrize("dense_kn2", [0.0, 1.0])
@@ -768,6 +1025,6 @@ def test_spectrum_json_schema(unit_triple):
 def test_spectrum_json_keys_are_pinned(unit_triple):
     # solver diagnostics such as the dense block sizes stay in meta only
     s = spectra.solve(spectra.evp_from_trace(unit_triple, 3))
-    assert s.meta["blocks"] == [21, 18]
+    assert s.meta["blocks"] == [8, 5, 13, 13]
     assert list(s.to_json()) == ["scheme", "depth", "boundary", "eigenvalues", "normalization",
                                  "n_free", "method", "residual_max", "inertia_verified"]
