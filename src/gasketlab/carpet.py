@@ -11,12 +11,10 @@ here works with plain (center, radius) circles and their closed-form images.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     BudgetExceeded,
@@ -32,8 +30,10 @@ TWO_PI = 2.0 * math.pi
 # separation_stats examines the pairs with normalized gap below this
 SEPARATION_EPS_CAP = 2.0
 
-# sample points per block of circles in harmonicity_contributions
-_HARMONICITY_CHUNK = 1 << 17
+# sample points per block of circles in harmonicity_contributions: the
+# fastest of 1 << 11 ... 1 << 17 on the q=8, r_min=1e-3 orbit (BENCH_17.json);
+# each row is summed on its own, so the block size cannot change a bit
+_HARMONICITY_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,22 @@ class CircleOrbit:
         return "\n".join(lines) + "\n"
 
 
+def _window_pairs(keys, lo, hi):
+    """Index pairs (i, j) with lo[i] <= keys[j] <= hi[i], i ascending.
+
+    Sorts ``keys`` once, finds each window's run of sorted positions with
+    ``searchsorted`` and expands the runs into pairs with ``np.repeat``.
+    """
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    start = np.searchsorted(sorted_keys, lo, side="left")
+    sizes = np.searchsorted(sorted_keys, hi, side="right") - start
+    i = np.repeat(np.arange(len(lo)), sizes)
+    # position within the run, plus the run's first sorted position
+    pos = np.arange(len(i)) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+    return i, order[pos]
+
+
 def enumerate_circles(
     cfg: GroupConfig,
     min_radius: float,
@@ -148,6 +164,13 @@ def enumerate_circles(
     generation g.  A generation-g image is dropped if it matches its parent,
     a circle of generation g-2, or an earlier image of generation g; no other
     generation can hold a duplicate.
+
+    Sort window.  Two matching circles have real parts within 1e-9, so
+    every match lies among the pairs whose real parts are within 2e-9 on one
+    sort by real part (the factor 2 absorbs the roundoff of the window's
+    ends).  Those candidate pairs, against generation g-2 and among the
+    images of generation g, are tested with the match predicate itself, so
+    a candidate that does not match changes nothing.
 
     Pruning.  A circle's BFS parent is never smaller than the circle.  If s
     lengthens the minimal representative w, it lengthens every element of
@@ -170,9 +193,6 @@ def enumerate_circles(
     def matches(c, r, c0, r0):
         return (np.abs(c - c0) <= tol) & (np.abs(r - r0) <= tol)
 
-    def points(c, r):
-        return np.column_stack([c.real, c.imag, r])
-
     layers = [(np.zeros(1, dtype=complex), np.ones(1))]  # generation 0: the unit circle
     stored = 0
     while len(layers[-1][1]):
@@ -183,13 +203,11 @@ def enumerate_circles(
         fresh = ~matches(ic, ir, np.repeat(c, 4), np.repeat(r, 4))
         if len(layers) >= 2:
             c2, r2 = layers[-2]
-            _, j = cKDTree(points(c2, r2)).query(
-                points(ic, ir), distance_upper_bound=2.0 * tol
-            )
-            hit = j < len(r2)
-            fresh[hit] &= ~matches(ic[hit], ir[hit], c2[j[hit]], r2[j[hit]])
+            i, j = _window_pairs(c2.real, ic.real - 2.0 * tol, ic.real + 2.0 * tol)
+            fresh[i[matches(ic[i], ir[i], c2[j], r2[j])]] = False
         ic, ir = ic[fresh], ir[fresh]
-        a, b = cKDTree(points(ic, ir)).query_pairs(2.0 * tol, output_type="ndarray").T
+        a, b = _window_pairs(ic.real, ic.real - 2.0 * tol, ic.real + 2.0 * tol)
+        a, b = a[a < b], b[a < b]
         fresh = np.ones(len(ir), dtype=bool)
         fresh[b[matches(ic[a], ir[a], ic[b], ir[b])]] = False  # a < b: keep the lowest index
         keep = fresh & (ir >= min_radius)
@@ -213,30 +231,59 @@ def enumerate_circles(
 
 
 def separation_stats(o: CircleOrbit):
-    """Smallest gap/min(radius) over stored circle pairs, via a KD-tree.
+    """Smallest gap/min(radius) over stored circle pairs, by a banded grid.
 
     A pair with normalized gap below ``SEPARATION_EPS_CAP`` has center
-    distance at most (2 + SEPARATION_EPS_CAP) times the larger radius, so
-    querying each circle's ball of that size against all not-larger circles
-    sees every candidate pair.
+    distance at most w = (2 + SEPARATION_EPS_CAP) times the larger radius,
+    and the pairs examined are exactly the pairs within w of each other,
+    each once.  The larger circles are taken in radius
+    bands (R / 1.25, R], largest first.  For one band, every circle not
+    larger than R goes on a uniform grid of cell size h >= w(R), and each
+    band circle looks in its 3 x 3 neighbouring cells: a partner is not
+    larger than the band circle, so it is on the grid, and it lies within
+    w(R) <= h of the band circle in each coordinate, so in a cell at most
+    one column and one row away.  h exceeds w(R) by the roundoff of w and
+    of the cell coordinates (x - x0) / h, and is raised to span / 2^30 when
+    that is larger, so that the integer cell keys stay below 2^61 at any
+    radius; a coarser grid only adds candidates.  Each band's candidates
+    are filtered by the distance bound before the next band, so no more
+    than one band's candidates are ever held.
     """
     n = len(o)
     if n < 2:
         raise ValueError("need at least two circles")
-    pts = np.column_stack([o.centers.real, o.centers.imag])
-    radii = o.radii
-    hits = cKDTree(pts).query_ball_point(pts, (2.0 + SEPARATION_EPS_CAP) * radii)
-    sizes = np.fromiter(map(len, hits), dtype=np.intp, count=n)
-    i = np.repeat(np.arange(n), sizes)
-    j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(sizes.sum()))
-    r_i, r_j = radii[i], radii[j]
-    keep = (j != i) & ((r_j < r_i) | ((r_j == r_i) & (j > i)))
-    i, j, r_i, r_j = i[keep], j[keep], r_i[keep], r_j[keep]
-    if not len(i):
-        return math.inf, 0
-    d = np.hypot(pts[j, 0] - pts[i, 0], pts[j, 1] - pts[i, 1])
-    eps_vals = (d - r_i - r_j) / np.minimum(r_i, r_j)
-    return float(eps_vals.min()), len(i)
+    # by radius, largest first: a pair (a, b) of positions in this order is
+    # examined once, as a < b, with the bound of the larger radius (on a tie
+    # either one, so the order of equal radii does not matter)
+    order = np.argsort(-o.radii)
+    x, y, r = o.centers.real[order], o.centers.imag[order], o.radii[order]
+    reach = 2.0 + SEPARATION_EPS_CAP
+    eps, pairs = math.inf, 0
+    start = 0
+    while start < n:
+        R = r[start]
+        stop = start + int(np.searchsorted(-r[start:], -R / 1.25, side="left"))
+        gx, gy = x[start:], y[start:]  # the grid: every circle not larger than R
+        x0, y0 = gx.min(), gy.min()
+        span = max(gx.max() - x0, gy.max() - y0)
+        extent = max(float(np.abs(gx).max()), float(np.abs(gy).max()))
+        h = max(reach * R * (1.0 + 1e-12) + 8.0 * np.finfo(float).eps * extent, span / 2.0**30)
+        col = np.floor((gx - x0) / h).astype(np.int64)
+        row = np.floor((gy - y0) / h).astype(np.int64)
+        width = int(row.max()) + 3  # rows -1 .. max + 1 of one column are contiguous keys
+        key = col * width + row + 1
+        lo = np.concatenate([key[: stop - start] + dc * width - 1 for dc in (-1, 0, 1)])
+        a, b = _window_pairs(key, lo, lo + 2)
+        a %= stop - start  # the band leads the grid
+        a, b = a[a < b] + start, b[a < b] + start
+        d = np.hypot(x[b] - x[a], y[b] - y[a])
+        near = d <= reach * r[a]
+        if near.any():
+            a, b, d = a[near], b[near], d[near]
+            eps = min(eps, float(((d - r[a] - r[b]) / r[b]).min()))
+            pairs += len(d)
+        start = stop
+    return eps, pairs
 
 
 def fit_carpet_dimension(o: CircleOrbit, expect_in=(1.0, 2.0)) -> PowerLawFit:

@@ -613,9 +613,15 @@ def _sliced_lanczos(blocks, K, d, k: int, top: float, seed: int):
     shared shift.  Each block is then sliced for its own count below that
     bound, starting from the shifts counted for it on the way, and keeps
     all of them; the merged eigenvalues, with multiplicity, hold the k
-    lowest of the pencil.  The bracket starts as [-1e-12 top, top] around
-    the semidefinite spectrum.  Returns the k lowest eigenvalues, ascending,
-    the worst residual, and the slices of all blocks (``_slice_block``).
+    lowest of the pencil.  ARPACK returns at most n_b - 1 pairs of a block
+    of size n_b, so a slice that must hold that many has no room for its
+    pad and may never match its count: a block whose count reaches n_b - 1
+    is solved whole by ``_dense`` and certified there, and is recorded as
+    one slice from the lowest bound to its highest counted shift, with
+    that shift's count and ``k_requested`` = n_b.  The bracket starts as
+    [-1e-12 top, top] around the semidefinite spectrum.  Returns the k
+    lowest eigenvalues, ascending, the worst residual, and the slices of
+    all blocks (``_slice_block``).
     """
     lo, top_moves = -1e-12 * top, []
     if len(blocks) == 1:
@@ -640,6 +646,14 @@ def _sliced_lanczos(blocks, K, d, k: int, top: float, seed: int):
     first = np.cumsum([0] + [len(bases) for _, bases in blocks])  # in meta["blocks"]
     for (B, bases), counted_b, total, keep, b in zip(blocks, counted, totals, keeps, first):
         if keep == 0:
+            continue
+        if total >= B.shape[0] - 1:  # see above: solve the block whole
+            (lo, _, _), (hi, count, moves) = counted_b[0], counted_b[-1]
+            slices.append(dict(block=int(b), copies=len(bases), lo=lo, hi=hi, count=count,
+                               k_requested=B.shape[0], attempts=1, moves=moves))
+            lam_b, res_b = _dense([(B, bases)], K, d, keep * len(bases))
+            found.append(lam_b)
+            res = max(res, res_b)
             continue
         v0 = np.ones(B.shape[0]) + 0.01 * rng.standard_normal(B.shape[0])
         res = max(res, _slice_block(B, bases, K, d, keep, total, counted_b, v0, found,

@@ -5,19 +5,23 @@ These are the scalar algorithms the package used before it built one
 generation at a time: a per-cell breadth-first builder that calls the scalar
 inscribed-disk and tangency-point constructions once per cell, a depth-first
 counting walk, and an arc network assembled from a dict of incidences, one
-segment per Python iteration.  The equivalence tests compare the arrays bit
-for bit.
+segment per Python iteration.  The carpet orbit and its separation come from
+KD-tree neighbour queries (``scipy.spatial.cKDTree``).  The equivalence
+tests compare the arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from gasketlab.carpet import SEPARATION_EPS_CAP, CircleOrbit, GroupConfig, generators
 from gasketlab.errors import BudgetExceeded, NotTangent, NumericBreakdown, TwoHalfPlanes
 from gasketlab.gasket import LETTERS, child_quad
 from gasketlab.geom import (
@@ -331,3 +335,72 @@ def assemble_arc_fem(t: DiskTriple, m: int, refine: int, cx: LegacyComplex):
     r, l = np.array(radius), np.array(length)
     return (np.array(points), np.array(ends, dtype=int).reshape(-1, 2), r / l, r * l,
             np.array(arc_ids))
+
+
+def enumerate_circles(cfg: GroupConfig, min_radius: float, cap: int = 10**7) -> CircleOrbit:
+    """Breadth-first carpet orbit, deduplicated by KD-tree queries on
+    (Re c, Im c, r): the nearest generation g-2 circle within 2e-9, and all
+    pairs of generation g images within 2e-9."""
+    gens = generators(cfg)
+    tol = 1e-9
+
+    def matches(c, r, c0, r0):
+        return (np.abs(c - c0) <= tol) & (np.abs(r - r0) <= tol)
+
+    def points(c, r):
+        return np.column_stack([c.real, c.imag, r])
+
+    layers = [(np.zeros(1, dtype=complex), np.ones(1))]
+    stored = 0
+    while len(layers[-1][1]):
+        c, r = layers[-1]
+        images = [g(c, r) for g in gens]
+        ic = np.column_stack([im[0] for im in images]).ravel()
+        ir = np.column_stack([im[1] for im in images]).ravel()
+        fresh = ~matches(ic, ir, np.repeat(c, 4), np.repeat(r, 4))
+        if len(layers) >= 2:
+            c2, r2 = layers[-2]
+            _, j = cKDTree(points(c2, r2)).query(
+                points(ic, ir), distance_upper_bound=2.0 * tol
+            )
+            hit = j < len(r2)
+            fresh[hit] &= ~matches(ic[hit], ir[hit], c2[j[hit]], r2[j[hit]])
+        ic, ir = ic[fresh], ir[fresh]
+        a, b = cKDTree(points(ic, ir)).query_pairs(2.0 * tol, output_type="ndarray").T
+        fresh = np.ones(len(ir), dtype=bool)
+        fresh[b[matches(ic[a], ir[a], ic[b], ir[b])]] = False
+        keep = fresh & (ir >= min_radius)
+        layers.append((ic[keep], ir[keep]))
+        stored += int(keep.sum())
+        if stored > cap:
+            raise BudgetExceeded(f"orbit exceeded {cap} circles")
+
+    body = layers[1:]
+    centers = np.concatenate([c for c, _ in body])
+    radii = np.concatenate([r for _, r in body])
+    gens = np.repeat(np.arange(1, len(layers)), [len(r) for _, r in body])
+    order = np.lexsort((centers.imag, centers.real, -radii))
+    return CircleOrbit(cfg, min_radius, centers[order], radii[order], gens[order])
+
+
+def separation_stats(o: CircleOrbit):
+    """Smallest gap/min(radius) over the pairs found by one KD-tree ball query
+    of radius (2 + SEPARATION_EPS_CAP) r per circle, each pair seen from its
+    larger circle (the lower index on ties)."""
+    n = len(o)
+    if n < 2:
+        raise ValueError("need at least two circles")
+    pts = np.column_stack([o.centers.real, o.centers.imag])
+    radii = o.radii
+    hits = cKDTree(pts).query_ball_point(pts, (2.0 + SEPARATION_EPS_CAP) * radii)
+    sizes = np.fromiter(map(len, hits), dtype=np.intp, count=n)
+    i = np.repeat(np.arange(n), sizes)
+    j = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=int(sizes.sum()))
+    r_i, r_j = radii[i], radii[j]
+    keep = (j != i) & ((r_j < r_i) | ((r_j == r_i) & (j > i)))
+    i, j, r_i, r_j = i[keep], j[keep], r_i[keep], r_j[keep]
+    if not len(i):
+        return math.inf, 0
+    d = np.hypot(pts[j, 0] - pts[i, 0], pts[j, 1] - pts[i, 1])
+    eps_vals = (d - r_i - r_j) / np.minimum(r_i, r_j)
+    return float(eps_vals.min()), len(i)

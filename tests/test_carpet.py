@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -353,6 +356,27 @@ def test_harmonicity_contributions_match_per_circle_loop(refine):
             assert np.array_equal(got, ref)
             if bump is narrow:
                 assert 0 < np.count_nonzero(ref) < len(o) // 10
+
+
+def test_harmonicity_chunk_changes_no_bit(monkeypatch):
+    # each circle's row is summed on its own: the default blocks against
+    # one row per block, values and sign bits
+    o = carpet.enumerate_circles(carpet.solve_params(8), 3e-3)
+    bump = carpet.RadialBump((0.23, 0.11), 0.5)
+    runs = []
+    for chunk in (carpet._HARMONICITY_CHUNK, 1):
+        monkeypatch.setattr(carpet, "_HARMONICITY_CHUNK", chunk)
+        runs.append([carpet.harmonicity_contributions(o, bump, refine=refine, coordinate=c)
+                     for refine in (64, 256) for c in (1, 2)])
+    for got, ref in zip(*runs):
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_import_leaves_out_scipy_spatial():
+    code = ("import sys, gasketlab.carpet, gasketlab.spectra; "
+            "sys.exit('scipy.spatial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_harmonicity_residual_decays():

@@ -1,12 +1,13 @@
 """The array-at-a-time complex, arc network and circle count against the
 per-item reference implementations in ``legacy.py``, bit for bit; the
-closed-form cell areas and arc lengths against their geometric values."""
+closed-form cell areas and arc lengths against their geometric values; the
+carpet orbit and its separation against the KD-tree versions."""
 
 import numpy as np
 import pytest
 
 import legacy
-from gasketlab import forms, gasket, geom
+from gasketlab import carpet, forms, gasket, geom
 from gasketlab.errors import BudgetExceeded
 
 TRIPLES = {
@@ -145,3 +146,69 @@ def test_tangency_point_matches_scalar(rng):
                 if i != j:
                     d1, d2 = t.disks[i], t.disks[j]
                     assert geom.tangency_point(d1, d2) == legacy.tangency_point(d1, d2)
+
+
+CARPET_CASES = [(q, r) for q in (7, 8, 9, 12) for r in (1e-2, 1e-3)] + [(8, 3e-4)]
+
+
+@pytest.fixture(scope="module", params=CARPET_CASES, ids=lambda c: f"q{c[0]}-r{c[1]:g}")
+def orbits(request):
+    cfg = carpet.solve_params(request.param[0])
+    return (carpet.enumerate_circles(cfg, request.param[1]),
+            legacy.enumerate_circles(cfg, request.param[1]))
+
+
+def test_orbit_matches_kdtree_dedup(orbits):
+    new, old = orbits
+    assert same_bits(new.centers.real, old.centers.real)
+    assert same_bits(new.centers.imag, old.centers.imag)
+    assert same_bits(new.radii, old.radii)
+    assert np.array_equal(new.generations, old.generations)
+
+
+def test_separation_matches_kdtree(orbits):
+    new, _ = orbits
+    assert carpet.separation_stats(new) == legacy.separation_stats(new)
+
+
+def _sub_orbit(o, idx):
+    return carpet.CircleOrbit(o.config, o.min_radius, o.centers[idx], o.radii[idx],
+                              o.generations[idx])
+
+
+def test_separation_matches_kdtree_on_sub_orbits(rng):
+    o = carpet.enumerate_circles(carpet.solve_params(8), 1e-3)
+    bump = carpet.RadialBump((0.2, -0.1), 0.4)
+    near = np.flatnonzero(np.abs(o.centers - complex(*bump.center)) < bump.radius + o.radii)
+    for _ in range(5):
+        # as the benchmark draws its quadrature sample, then in a shuffled order
+        idx = np.sort(rng.choice(near, size=64, replace=False))
+        for sub in (_sub_orbit(o, idx), _sub_orbit(o, rng.permutation(idx))):
+            assert carpet.separation_stats(sub) == legacy.separation_stats(sub)
+
+
+def test_separation_matches_kdtree_on_tied_radii(rng):
+    # a lattice of equal circles (every pair a tie) in shuffled order, with
+    # a few larger and smaller ones, some of them also tied
+    gx, gy = np.meshgrid(np.arange(12) * 0.031, np.arange(9) * 0.029)
+    centers = np.concatenate([(gx + 1j * gy).ravel(), rng.uniform(0, 0.3, 20)
+                              + 1j * rng.uniform(0, 0.3, 20)])
+    radii = np.concatenate([np.full(gx.size, 0.01), np.repeat([0.02, 0.004], 10)])
+    perm = rng.permutation(len(radii))
+    o = carpet.CircleOrbit(carpet.solve_params(8), 0.004, centers[perm], radii[perm],
+                           np.ones(len(radii), dtype=int))
+    eps, pairs = carpet.separation_stats(o)
+    assert (eps, pairs) == legacy.separation_stats(o)
+    assert pairs > gx.size
+
+
+def test_separation_sees_a_pair_at_the_cell_edge():
+    # two circles of radius r exactly w = 4r apart, placed so that on a grid
+    # of cell size exactly w anchored at the small circle's x the rounding
+    # of (x - x0) / w puts them two columns apart: the cell size's roundoff
+    # margin keeps them neighbours
+    r = 0.03835751720680286
+    centers = np.array([-0.42859318029328813, -0.2751631114660767, -0.8888833867749224])
+    o = carpet.CircleOrbit(carpet.solve_params(8), 1e-9, centers + 0j,
+                           np.array([r, r, r * 1e-3]), np.ones(3, dtype=int))
+    assert carpet.separation_stats(o) == legacy.separation_stats(o) == (2.0, 1)

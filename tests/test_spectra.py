@@ -466,6 +466,34 @@ def test_d3_certificate_covers_both_e_copies(unit_triple, monkeypatch):
             assert e_slices and sum(widths) >= 100
 
 
+@pytest.mark.parametrize("k", [114, 115, 116, 117, 118])
+def test_sliced_block_whose_count_reaches_its_size(unit_triple, monkeypatch, k):
+    # ARPACK gives at most n_b - 1 pairs of an n_b block, so a block whose
+    # count below the shared bound reaches n_b - 1 is solved whole by syevd
+    # (unit trace m=4: blocks of 22, 18 and 40; at k = 114 A2 counts all 18
+    # of its own and E 39 of its 40, from k = 115 every block counts all)
+    evp = spectra.evp_from_trace(unit_triple, 4)
+    dense = spectra.solve(evp).eigenvalues
+    monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
+    residual_max, widths = spectra._residual_max, []
+
+    def spy(K, d, lams, Y):
+        widths.append(Y.shape[1])
+        return residual_max(K, d, lams, Y)
+
+    monkeypatch.setattr(spectra, "_residual_max", spy)
+    s = spectra.solve(evp, how_many=k)
+    assert s.meta["method"] == "lanczos-shift-invert" and s.meta["symmetry"] == "D3"
+    assert np.all(np.abs(s.eigenvalues - dense[:k]) <= 1e-10 * dense[:k])
+    assert s.meta["inertia_verified"] is True
+    assert 0.0 < s.meta["residual_max"] <= spectra.RESIDUAL_RTOL * s.meta["lambda_scale"]
+    # every pair below the shared bound is certified, through each basis
+    assert sum(widths) >= sum(sl["count"] * sl["copies"] for sl in s.meta["slices"]) > k
+    whole = [sl for sl in s.meta["slices"]
+             if sl["k_requested"] == s.meta["blocks"][sl["block"]]]
+    assert whole and all(sl["count"] >= sl["k_requested"] - 1 for sl in whole)
+
+
 @pytest.mark.parametrize("scheme", ["trace m=5", "arcfem m=4 refine 4 k=600"])
 def test_unmirrored_dense_is_one_eigh_call(scheme):
     # no mirror: solve reports the bits of the one syevd call on A itself
