@@ -11,6 +11,7 @@ here works with plain (center, radius) circles and their closed-form images.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,20 +130,21 @@ class CircleOrbit:
         return "\n".join(lines) + "\n"
 
 
-def _window_pairs(keys, lo, hi):
-    """Index pairs (i, j) with lo[i] <= keys[j] <= hi[i], i ascending.
+def _window_pairs(sorted_keys, lo, hi):
+    """Pairs (i, p) with lo[i] <= sorted_keys[p] <= hi[i], i ascending.
 
-    Sorts ``keys`` once, finds each window's run of sorted positions with
-    ``searchsorted`` and expands the runs into pairs with ``np.repeat``.
+    ``sorted_keys`` is ascending and ``p`` a position in it; the caller maps
+    both back through the sorts it holds.  Each window's run of positions
+    is found with ``searchsorted`` and the runs are expanded into pairs with
+    ``np.repeat``.  Queries in ascending order search fastest (numpy starts
+    each binary search from the previous one's result), so the callers pass
+    their windows in the order of a sort they already hold.
     """
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
     start = np.searchsorted(sorted_keys, lo, side="left")
     sizes = np.searchsorted(sorted_keys, hi, side="right") - start
     i = np.repeat(np.arange(len(lo)), sizes)
     # position within the run, plus the run's first sorted position
-    pos = np.arange(len(i)) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
-    return i, order[pos]
+    return i, np.arange(len(i)) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
 
 
 def enumerate_circles(
@@ -170,7 +172,10 @@ def enumerate_circles(
     sort by real part (the factor 2 absorbs the roundoff of the window's
     ends).  Those candidate pairs, against generation g-2 and among the
     images of generation g, are tested with the match predicate itself, so
-    a candidate that does not match changes nothing.
+    a candidate that does not match changes nothing.  The images that do
+    not match their parent are sorted once; that sort orders the windows
+    against generation g-2, whose own sort is kept from its step, and the
+    windows among the images, so every search runs on ascending queries.
 
     Pruning.  A circle's BFS parent is never smaller than the circle.  If s
     lengthens the minimal representative w, it lengthens every element of
@@ -193,33 +198,40 @@ def enumerate_circles(
     def matches(c, r, c0, r0):
         return (np.abs(c - c0) <= tol) & (np.abs(r - r0) <= tol)
 
-    layers = [(np.zeros(1, dtype=complex), np.ones(1))]  # generation 0: the unit circle
+    # each generation with the order that sorts its centres' real parts
+    layers = [(np.zeros(1, dtype=complex), np.ones(1), np.zeros(1, dtype=int))]
     stored = 0
     while len(layers[-1][1]):
-        c, r = layers[-1]
+        c, r, _ = layers[-1]
         images = [g(c, r) for g in gens]
         ic = np.column_stack([im[0] for im in images]).ravel()
         ir = np.column_stack([im[1] for im in images]).ravel()
         fresh = ~matches(ic, ir, np.repeat(c, 4), np.repeat(r, 4))
+        cand = np.flatnonzero(fresh)
+        cand = cand[np.argsort(ic.real[cand])]  # the images, in ascending real part
         if len(layers) >= 2:
-            c2, r2 = layers[-2]
-            i, j = _window_pairs(c2.real, ic.real - 2.0 * tol, ic.real + 2.0 * tol)
+            c2, r2, by_x = layers[-2]
+            x = ic.real[cand]
+            i, j = _window_pairs(c2.real[by_x], x - 2.0 * tol, x + 2.0 * tol)
+            i, j = cand[i], by_x[j]
             fresh[i[matches(ic[i], ir[i], c2[j], r2[j])]] = False
-        ic, ir = ic[fresh], ir[fresh]
-        a, b = _window_pairs(ic.real, ic.real - 2.0 * tol, ic.real + 2.0 * tol)
+            cand = cand[fresh[cand]]
+        x = ic.real[cand]
+        a, b = _window_pairs(x, x - 2.0 * tol, x + 2.0 * tol)
+        a, b = cand[a], cand[b]
         a, b = a[a < b], b[a < b]
-        fresh = np.ones(len(ir), dtype=bool)
         fresh[b[matches(ic[a], ir[a], ic[b], ir[b])]] = False  # a < b: keep the lowest index
         keep = fresh & (ir >= min_radius)
-        layers.append((ic[keep], ir[keep]))
+        at = np.cumsum(keep) - 1  # image index -> index in the new generation
+        layers.append((ic[keep], ir[keep], at[cand[keep[cand]]]))
         stored += int(keep.sum())
         if stored > cap:
             raise BudgetExceeded(f"orbit exceeded {cap} circles")
 
     body = layers[1:]
-    centers = np.concatenate([c for c, _ in body])
-    radii = np.concatenate([r for _, r in body])
-    gens = np.repeat(np.arange(1, len(layers)), [len(r) for _, r in body])
+    centers = np.concatenate([c for c, _, _ in body])
+    radii = np.concatenate([r for _, r, _ in body])
+    gens = np.repeat(np.arange(1, len(layers)), [len(r) for _, r, _ in body])
     order = np.lexsort((centers.imag, centers.real, -radii))
     return CircleOrbit(
         config=cfg,
@@ -247,7 +259,9 @@ def separation_stats(o: CircleOrbit):
     that is larger, so that the integer cell keys stay below 2^61 at any
     radius; a coarser grid only adds candidates.  Each band's candidates
     are filtered by the distance bound before the next band, so no more
-    than one band's candidates are ever held.
+    than one band's candidates are ever held.  The band circles lead the
+    grid, so the grid's one sort of its keys also puts the band's windows in
+    ascending order.
     """
     n = len(o)
     if n < 2:
@@ -272,9 +286,11 @@ def separation_stats(o: CircleOrbit):
         row = np.floor((gy - y0) / h).astype(np.int64)
         width = int(row.max()) + 3  # rows -1 .. max + 1 of one column are contiguous keys
         key = col * width + row + 1
-        lo = np.concatenate([key[: stop - start] + dc * width - 1 for dc in (-1, 0, 1)])
-        a, b = _window_pairs(key, lo, lo + 2)
-        a %= stop - start  # the band leads the grid
+        by_key = np.argsort(key)
+        band = by_key[by_key < stop - start]  # the band leads the grid: in key order
+        lo = np.concatenate([key[band] + dc * width - 1 for dc in (-1, 0, 1)])
+        a, b = _window_pairs(key[by_key], lo, lo + 2)
+        a, b = np.tile(band, 3)[a], by_key[b]
         a, b = a[a < b] + start, b[a < b] + start
         d = np.hypot(x[b] - x[a], y[b] - y[a])
         near = d <= reach * r[a]
@@ -341,6 +357,16 @@ class RadialBump:
         return gx, gy
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_circle(refine: int):
+    """(cos theta, sin theta) at theta = 2 pi j / refine, read-only and shared."""
+    th = TWO_PI * np.arange(refine) / refine
+    table = np.cos(th), np.sin(th)
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def harmonicity_contributions(
     o: CircleOrbit, v, refine: int = 256, coordinate: int = 1
 ) -> np.ndarray:
@@ -359,8 +385,7 @@ def harmonicity_contributions(
     if coordinate not in (1, 2):
         raise ValueError("coordinate must be 1 or 2")
 
-    th = TWO_PI * np.arange(refine) / refine
-    cosv, sinv = np.cos(th), np.sin(th)
+    cosv, sinv = _unit_circle(refine)
     out = np.zeros(len(o))
     # a circle with |c - z0| >= R + r keeps every sample at s^2 >= 1 up to
     # roundoff, where the bump's exp underflows: its contribution is exactly 0
@@ -393,8 +418,8 @@ def harmonicity_residual(
 
 def circle_pairing_gauss_green(c: complex, r: float, v, refine: int = 4096) -> float:
     """Independent per-circle value: rad * integral of v * n_x dtheta."""
-    th = TWO_PI * np.arange(refine) / refine
-    x = c.real + r * np.cos(th)
-    y = c.imag + r * np.sin(th)
+    cosv, sinv = _unit_circle(refine)
+    x = c.real + r * cosv
+    y = c.imag + r * sinv
     vals = v(x, y)
-    return float(r * np.sum(vals * np.cos(th)) * (TWO_PI / refine))
+    return float(r * np.sum(vals * cosv) * (TWO_PI / refine))

@@ -17,8 +17,11 @@ n/6 each and E of about n/3, whose eigenvalues are those of the pencil
 twice over, so E is solved once and reported twice.  Inertia adds over the
 blocks, so the sliced path places one bound on the summed counts and then
 slices each block below it.  Only eigenvalues are reported, with a residual
-certificate against the original K and mass taken in column blocks, on the
-sliced path slice by slice; no eigenvector is returned.
+certificate against the original K and mass taken in column blocks, each
+mapped back through its block's basis only when its turn comes, and on the
+sliced path slice by slice; no eigenvector is returned, and neither path
+holds an n x k array of them.  The dense path solves the largest block
+first, while no other block's eigenvectors are held.
 """
 
 from __future__ import annotations
@@ -304,16 +307,21 @@ def _gershgorin_upper(A: sp.csr_matrix) -> float:
     return float(absA.sum(axis=1).max())
 
 
-def _residual_max(K, d, lams, Y):
-    """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} y.
+def _residual_max(K, d, lams, Y, Q=None):
+    """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} Q y.
 
-    Dense solves pass each block's kept columns (all k of them without a
-    mirror), sliced ones one slice's kept columns at a time, taken in
-    ceil(k / RESIDUAL_BLOCK) near-equal blocks.  Each column
-    keeps the bits it has in one n x k block: numpy sums a lone or F-order
-    column's norm pairwise, but a column inside a C-order block of two or
-    more sequentially, and R is C-order.  So no block is a single column
-    unless k = 1, and a sliced lone pair of k > 1 is passed twice over.
+    ``Q`` is the block's basis onto the free vertices (None: the identity).
+    Dense solves pass each block's kept columns and each of its bases,
+    sliced ones one slice's kept columns at a time.  The columns are taken
+    in ceil(k / RESIDUAL_BLOCK) near-equal blocks, each mapped through Q
+    only when its turn comes, so no n x k array is formed: V is scaled and
+    R = K V reduced in place, and about three n x ``RESIDUAL_BLOCK`` arrays
+    are live at once (scaling into a copy raised the benchmark's peak RSS).  Each column keeps the bits it has in one n x k block:
+    numpy sums a lone or F-order column's norm pairwise, but a column inside
+    a C-order block of two or more sequentially.  R is C-order, and so is
+    V = Q Y; without a basis V is a slice of Y, which is F-order from
+    LAPACK.  So no block is a single column unless k = 1, and a sliced lone
+    pair of k > 1 is passed twice over.
     """
     k = len(lams)
     if k == 0:
@@ -322,8 +330,16 @@ def _residual_max(K, d, lams, Y):
     edges = [k * i // n_blocks for i in range(n_blocks + 1)]
     s, worst = 1.0 / np.sqrt(d), 0.0
     for a, b in zip(edges, edges[1:]):
-        V = Y[:, a:b] * s[:, None]
-        R = K @ V - (d[:, None] * V) * lams[None, a:b]
+        if Q is None:
+            V = Y[:, a:b] * s[:, None]
+        else:
+            V = Q @ Y[:, a:b]
+            V *= s[:, None]
+        R = K @ V
+        T = d[:, None] * V
+        T *= lams[None, a:b]
+        R -= T
+        del T  # before the norms' temporaries
         worst = max(worst, float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0))))
     return worst
 
@@ -373,15 +389,17 @@ def solve(
     is solved once and each of its eigenvalues is reported twice, with equal
     bits.  The symmetries leave A invariant within ``MIRROR_RTOL``, so the
     blocks hold its spectrum up to that roundoff.  The dense path runs
-    ``syevd`` per block, merges the spectra with multiplicity, and keeps
-    the k lowest.  The sliced path places one bound whose count, summed
-    over the blocks with multiplicity, reaches k + 1, slices each block
-    below it and merges likewise (``_sliced_lanczos``).  Each kept pair is
-    mapped back to the free vertices through its block's basis (both
-    bases for E) and certified by the unchanged residual against the
+    ``syevd`` per block, largest first, merges the spectra with
+    multiplicity, and keeps the k lowest.  The sliced path places one
+    bound whose count, summed over the blocks with multiplicity, reaches
+    k + 1, slices each block below it and merges likewise
+    (``_sliced_lanczos``).  Each kept pair is mapped back to the free
+    vertices through its block's basis (both bases for E), one column
+    block at a time, and certified by the unchanged residual against the
     original K and mass, so a split that moved an eigenpair fails the
-    certificate.  Inertia adds over an orthogonal split, so the counts of
-    the sliced path certify the whole pencil.  ``meta["blocks"]`` lists the
+    certificate; neither path forms an n x k array of mapped vectors.
+    Inertia adds over an orthogonal split, so the counts of the sliced path
+    certify the whole pencil.  ``meta["blocks"]`` lists the
     block sizes, E twice, summing to n (``[n]`` without a split), and
     ``meta["symmetry"]`` the group: ``"none"``, ``"mirror"`` or ``"D3"``.
 
@@ -509,21 +527,23 @@ def _dense(blocks, K, d, k: int):
     """The k lowest eigenvalues of the blocks by ``syevd``, and their residual.
 
     ``blocks`` holds (B, bases) per block; each eigenvalue of B is reported
-    once per basis (twice for E).
+    once per basis (twice for E).  The largest block is solved first, while
+    no other block's eigenvectors are held, and the results are kept in
+    block order.  Each basis's kept columns are certified by
+    ``_residual_max`` one column block at a time.
     """
-    solved = []
-    for B, _ in blocks:
+    solved = [None] * len(blocks)
+    for i in sorted(range(len(blocks)), key=lambda i: -blocks[i][0].shape[0]):
         # the Fortran-order copy is ours: LAPACK may overwrite it, f2py copies nothing
-        solved.append(sla.eigh(B.toarray(order="F"), driver="evd", overwrite_a=True,
-                               check_finite=False))
+        solved[i] = sla.eigh(blocks[i][0].toarray(order="F"), driver="evd", overwrite_a=True,
+                             check_finite=False)
     copies = [(Q, lam_b, Y_b) for (_, bases), (lam_b, Y_b) in zip(blocks, solved) for Q in bases]
     lams = np.concatenate([lam_b for _, lam_b, _ in copies])
     kept = np.argsort(lams, kind="stable")[:k]  # a prefix of each ascending block
     which = np.searchsorted(np.cumsum([len(lam_b) for _, lam_b, _ in copies]), kept, side="right")
     res = 0.0
     for (Q, lam_b, Y_b), k_b in zip(copies, np.bincount(which, minlength=len(copies))):
-        Y_b = Y_b[:, :k_b]  # the block's kept pairs, mapped back to the free vertices
-        res = max(res, _residual_max(K, d, lam_b[:k_b], Y_b if Q is None else Q @ Y_b))
+        res = max(res, _residual_max(K, d, lam_b[:k_b], Y_b[:, :k_b], Q))
     return lams[kept], res
 
 
@@ -730,7 +750,7 @@ def _slice_block(B, bases, K, d, k: int, total: int, counted: list, v0, found: l
             kept, lam_k = np.repeat(kept, 2), np.repeat(lam_k, 2)
         Y = y_i[:, kept]
         for Q in bases:
-            res = max(res, _residual_max(K, d, lam_k, Y if Q is None else Q @ Y))
+            res = max(res, _residual_max(K, d, lam_k, Y, Q))
         if c_hi >= k:
             break
     return res

@@ -372,6 +372,16 @@ def test_harmonicity_chunk_changes_no_bit(monkeypatch):
         assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+def test_unit_circle_table_is_shared_and_read_only():
+    # the quadratures share one (cos, sin) table per refine; a caller that
+    # wrote to it would change every later call's samples
+    cosv, sinv = carpet._unit_circle(64)
+    assert carpet._unit_circle(64)[0] is cosv and carpet._unit_circle(64)[1] is sinv
+    assert not cosv.flags.writeable and not sinv.flags.writeable
+    th = carpet.TWO_PI * np.arange(64) / 64
+    assert np.array_equal(cosv, np.cos(th)) and np.array_equal(sinv, np.sin(th))
+
+
 def test_import_leaves_out_scipy_spatial():
     code = ("import sys, gasketlab.carpet, gasketlab.spectra; "
             "sys.exit('scipy.spatial' in sys.modules)")

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from gasketlab import geom, spectra
@@ -449,9 +450,9 @@ def test_d3_certificate_covers_both_e_copies(unit_triple, monkeypatch):
     evp = spectra.evp_from_trace(unit_triple, 5)
     residual_max, widths = spectra._residual_max, []
 
-    def spy(K, d, lams, Y):
+    def spy(K, d, lams, Y, Q=None):
         widths.append(Y.shape[1])
-        return residual_max(K, d, lams, Y)
+        return residual_max(K, d, lams, Y, Q)
 
     monkeypatch.setattr(spectra, "_residual_max", spy)
     for dense_kn2 in (0.0, 1.0):
@@ -477,9 +478,9 @@ def test_sliced_block_whose_count_reaches_its_size(unit_triple, monkeypatch, k):
     monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     residual_max, widths = spectra._residual_max, []
 
-    def spy(K, d, lams, Y):
+    def spy(K, d, lams, Y, Q=None):
         widths.append(Y.shape[1])
-        return residual_max(K, d, lams, Y)
+        return residual_max(K, d, lams, Y, Q)
 
     monkeypatch.setattr(spectra, "_residual_max", spy)
     s = spectra.solve(evp, how_many=k)
@@ -497,8 +498,6 @@ def test_sliced_block_whose_count_reaches_its_size(unit_triple, monkeypatch, k):
 @pytest.mark.parametrize("scheme", ["trace m=5", "arcfem m=4 refine 4 k=600"])
 def test_unmirrored_dense_is_one_eigh_call(scheme):
     # no mirror: solve reports the bits of the one syevd call on A itself
-    import scipy.linalg as sla
-
     t = geom.triple_from_curvatures(1.0, 2.0, 3.0)
     if scheme.startswith("arcfem"):
         evp, k = spectra.evp_from_arc_fem(t, 4, 4), 600
@@ -593,6 +592,34 @@ def test_blocked_residual_is_bit_identical(unit_triple, layout):
     assert spectra._residual_max(K, d, lams[order], Y_w) == oracle
 
 
+@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (2.0, 1.0, 2.0)], ids=["D3", "mirror"])
+def test_streamed_certificate_has_one_block_bits(curvatures):
+    # with a basis, _residual_max maps one column block at a time through Q;
+    # each column must keep the bits it has in the one C-order n x k block
+    # Q @ Y, for every basis of the split (E and its odd partner included)
+    evp = spectra.evp_from_trace(geom.triple_from_curvatures(*curvatures), 6)
+    free, K, d, A = spectra._free_pencil(evp, False)
+    s = 1.0 / np.sqrt(d)
+    bases = spectra._symmetry_bases(evp, free)
+    assert len(bases) == (3 if evp.rotation is not None else 2)
+    for copies in bases:
+        lams, Y = sla.eigh(spectra._project(A, copies[0]).toarray(order="F"), driver="evd")
+        for Q in copies:
+            for k in (1, 127, 128, 129, 300):
+                if k > len(lams):
+                    continue
+                oracle = _residual_max_one_block(K, d, lams[:k], Q @ Y[:, :k], s)
+                assert spectra._residual_max(K, d, lams[:k], Y[:, :k], Q) == oracle, k
+    # a sliced lone pair goes twice, so it keeps its in-block bits (E' on D3)
+    in_block = _residual_columns(K, d, lams, Q @ Y, s)
+    alone = np.array([_residual_columns(K, d, lams[j : j + 1], Q @ Y[:, j : j + 1], s)[0]
+                      for j in range(len(lams))])
+    moved = np.flatnonzero(in_block != alone)
+    j = moved[np.argmax(in_block[moved])]
+    twice = spectra._residual_max(K, d, lams[[j, j]], Y[:, [j, j]], Q)
+    assert twice == in_block[j] != alone[j]
+
+
 def test_slice_certificates_have_one_block_bits(unit_triple, monkeypatch):
     # each slice certifies only the pairs it keeps and drops them; the
     # certificates must carry the bits of one n x k block over all k pairs.
@@ -606,8 +633,8 @@ def test_slice_certificates_have_one_block_bits(unit_triple, monkeypatch):
     monkeypatch.setattr(spectra, "SLICE_SIZE", 4)
     residual_max, certified = spectra._residual_max, []
 
-    def spy(K, d, lams, Y):
-        certified.append((lams, Y, residual_max(K, d, lams, Y)))
+    def spy(K, d, lams, Y, Q=None):
+        certified.append((lams, Y, residual_max(K, d, lams, Y, Q)))
         return certified[-1][2]
 
     monkeypatch.setattr(spectra, "_residual_max", spy)
@@ -641,6 +668,31 @@ def test_sliced_solve_holds_no_n_by_k_array(unit_triple, monkeypatch):
         tracemalloc.stop()
     assert spec.meta["method"] == "lanczos-shift-invert" and len(spec) == k
     assert peak < evp.n_free * k * 8
+
+
+def test_dense_split_solve_holds_no_n_by_k_array(unit_triple, monkeypatch):
+    # the dense path solves the largest block first and certifies each
+    # basis's own kept columns, mapped one column block at a time: the
+    # traced peak of the full D3 solve of trace m=6 (about 5.5 MB) stays
+    # below one n x k float64 array (9.5 MB here)
+    evp = spectra.evp_from_trace(unit_triple, 6)
+    residual_max, own = spectra._residual_max, []
+
+    def spy(K, d, lams, Y, Q=None):
+        own.append(Q is not None and Y.shape[0] == Q.shape[1])
+        return residual_max(K, d, lams, Y, Q)
+
+    monkeypatch.setattr(spectra, "_residual_max", spy)
+    tracemalloc.start()
+    try:
+        spec = spectra.solve(evp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.meta["method"] == "dense" and spec.meta["symmetry"] == "D3"
+    assert len(spec) == evp.n_free
+    assert peak < evp.n_free * len(spec) * 8
+    assert own == [True] * 4  # A1, A2, E, E': never a product Q @ Y handed in
 
 
 def test_inertia_consistency_random_shifts(unit_triple, rng):
