@@ -221,35 +221,100 @@ def word_index(w: str) -> int:
 # circle counting
 
 
+# cells per step of count_profile: within 5% of the fastest of 1 << 11 ...
+# 1 << 15 at 60% of its traced peak, unit triple to 3e4*c0 (BENCH_19.json);
+# every kept cell is counted once, so the chunk size cannot change a count
+_COUNT_CHUNK = 1 << 12
+
+
 def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     """Counting function N(lam) on a sorted grid: the number of inscribed
     circles with curvature at most lam.
 
     The cells whose inscribed curvature is at most max(grid) form a subtree
     of the cell tree (a child's inscribed disk curves more than its parent's,
-    and a pruned cell is never expanded).  That subtree is walked one level
-    at a time on arrays: each level is the children of the cells the level
-    above kept, one letter at a time, and only the kept children are stored.
-    Every kept cell is counted once, whatever the traversal, and
-    ``BudgetExceeded`` is raised as soon as the total passes ``cap``, that
-    is, exactly when the subtree has more than ``cap`` cells.
+    and a pruned cell is never expanded).  That subtree is walked in chunks
+    of at most ``_COUNT_CHUNK`` cells.  Kept cells wait in one buffer per
+    depth as rows (a, b, c, k, c_in).  Each step takes a chunk from the
+    deepest depth whose buffer fills one; when none does, it takes all the
+    cells of the shallowest depth that holds any.  So the wide middle of the
+    tree goes depth first in full chunks, and the narrow cusp tails are
+    walked once each level, all tails together.  A step computes each
+    child's fourth member and inscribed curvature straight from the parent
+    rows, in the operation order of ``child_quad`` and
+    ``inscribed_curvature`` (the same bits), and gathers only the kept
+    children.  The buffers hold O(chunk) cells per depth that the wide part
+    reaches, not a whole level.
+
+    Every kept cell is counted once, whatever the traversal.  A cell counts
+    against ``cap`` when it is found, and a found cell is already a kept
+    cell, so ``BudgetExceeded`` is raised exactly when the subtree has more
+    than ``cap`` cells.
     """
     grid = sorted(float(x) for x in grid)
-    hist = np.zeros(len(grid), dtype=np.int64)
-    total, level = 0, [tuple(np.array([x], dtype=float) for x in t.quad)]
-    while level:
-        kept = []
-        for quads in level:  # lazily, one letter's unpruned children at a time
-            cin = inscribed_curvature(quads)
-            keep = cin <= grid[-1]
-            total += int(np.count_nonzero(keep))
-            if total > cap:
-                raise BudgetExceeded(f"count exceeded cap {cap}")
-            hist += np.bincount(np.searchsorted(grid, cin[keep], side="left"), minlength=len(grid))
-            kept.append(tuple(x[keep] for x in quads))
-        parents = tuple(np.concatenate(x) for x in zip(*kept))
-        level = (child_quad(parents, j) for j in LETTERS) if len(parents[0]) else ()
-    return list(zip(grid, np.cumsum(hist).tolist()))
+    if not grid or not all(map(math.isfinite, grid)):
+        raise ValueError(f"need a nonempty grid of finite values, got {grid!r}")
+    top, edges = grid[-1], np.array(grid)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    root = np.array(t.quad, dtype=float)[:, None]
+    root = np.vstack((root, inscribed_curvature(root)))
+    root = root[:, root[4] <= top]
+    total = root.shape[1]
+    if total > cap:
+        raise BudgetExceeded(f"count exceeded cap {cap}")
+    # pending[d]: blocks of kept depth-d cells; waiting[d]: how many
+    pending, waiting = [[root]], [total]
+    full, shallow = [], 0  # depths holding a chunk, ascending; first nonempty
+    while True:
+        if full:
+            d = full[-1]
+        else:
+            while shallow < len(waiting) and not waiting[shallow]:
+                shallow += 1
+            if shallow == len(waiting):
+                break
+            d = shallow
+        blocks, n = pending[d], min(waiting[d], _COUNT_CHUNK)
+        taken, got = [], 0
+        while got < n:
+            X = blocks.pop()
+            if got + X.shape[1] > n:
+                cut = X.shape[1] - (n - got)
+                blocks.append(X[:, :cut].copy())
+                X = X[:, cut:]
+            taken.append(X)
+            got += X.shape[1]
+        waiting[d] -= n
+        if full and waiting[d] < _COUNT_CHUNK:
+            full.pop()
+        X = taken[0] if len(taken) == 1 else np.concatenate(taken, axis=1)
+        a, b, c, k, cin = X
+        counts += np.searchsorted(np.sort(cin), edges, side="right")  # cells with c_in <= lam
+        # child j replaces member j by the inscribed disk (``child_quad``)
+        k1, k2, k3 = k + b + c, k + a + c, k + a + b
+        kids = ((k1, cin + b + c + 2.0 * k1), (k2, a + cin + c + 2.0 * k2),
+                (k3, a + b + cin + 2.0 * k3))
+        keep = [np.flatnonzero(cj <= top) for _, cj in kids]
+        Y = X[:, np.concatenate(keep)]
+        if not Y.shape[1]:
+            continue
+        total += Y.shape[1]
+        if total > cap:
+            raise BudgetExceeded(f"count exceeded cap {cap}")
+        lo = 0
+        for j, (idx, (kj, cj)) in enumerate(zip(keep, kids)):
+            hi = lo + len(idx)
+            Y[j, lo:hi] = Y[4, lo:hi]
+            Y[3, lo:hi], Y[4, lo:hi] = kj[idx], cj[idx]
+            lo = hi
+        if d + 1 == len(pending):
+            pending.append([])
+            waiting.append(0)
+        pending[d + 1].append(Y)
+        waiting[d + 1] += Y.shape[1]
+        if waiting[d + 1] >= _COUNT_CHUNK:  # deeper than every depth in ``full``
+            full.append(d + 1)
+    return list(zip(grid, counts.tolist()))
 
 
 def geometric_grid(lo: float, hi: float, n: int):

@@ -104,6 +104,25 @@ def test_count_profile_matches_dfs(name):
         assert gasket.count_profile(t, grid) == legacy.count_profile(t, grid)
 
 
+def test_count_chunk_changes_no_count(monkeypatch):
+    for chunk in (gasket._COUNT_CHUNK, 1, 5):
+        monkeypatch.setattr(gasket, "_COUNT_CHUNK", chunk)
+        for t in TRIPLES.values():
+            c0 = gasket.inscribed_curvature(t.quad)
+            grid = gasket.geometric_grid(c0, 1e3 * c0, 17) + [c0, 5.0 * c0]
+            assert gasket.count_profile(t, grid) == legacy.count_profile(t, grid)
+
+
+@pytest.mark.parametrize("name", list(TRIPLES))
+def test_count_profile_ties_at_every_cell(name):
+    # a grid point on every inscribed curvature of depth <= 5, as the
+    # complex builds it with ``child_quad``: a child curvature summed in
+    # another order moves a cell across its own grid point
+    t = TRIPLES[name]
+    grid = gasket.inscribed_curvature(np.concatenate(gasket.build_complex(t, 5).quads).T)
+    assert gasket.count_profile(t, grid) == legacy.count_profile(t, grid)
+
+
 def test_count_budget_matches_dfs():
     # both raise exactly when the pruned tree holds more than cap cells
     t = TRIPLES["1,2,3"]

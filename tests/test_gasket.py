@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,45 @@ def test_count_profile_matches_pointwise(unit_triple):
     prof = gasket.count_profile(unit_triple, grid)
     for lam, n in prof:
         assert n == brute_force_count(unit_triple, lam)
+
+
+@pytest.mark.parametrize("grid", [[], [1e3, math.nan], [math.nan, 1e3], [1e3, math.inf]],
+                         ids=["empty", "nan-last", "nan-first", "inf"])
+def test_count_profile_rejects_bad_grids(unit_triple, grid):
+    # an empty grid has no top; a nan sorts where it happens to stand and
+    # compares false; an inf top would walk the tree until the cap
+    with pytest.raises(ValueError):
+        gasket.count_profile(unit_triple, grid)
+
+
+def test_count_profile_memory_is_bounded(unit_triple):
+    # the walk holds O(chunk) cells per depth, not a whole level: about
+    # 2.5 MB here, where one level at a time peaked at 12.8 MB
+    c0 = gasket.inscribed_curvature(unit_triple.quad)
+    grid = gasket.geometric_grid(c0, 3e4 * c0, 33)
+    tracemalloc.start()
+    try:
+        gasket.count_profile(unit_triple, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_count_profile_cap_memory_is_bounded(unit_triple):
+    # a cell counts against the cap when it is found, so the walk stops
+    # once 10^6 cells are found (about 28 MB traced), where one level at a
+    # time first built the whole level that passed the cap (44 MB)
+    c0 = gasket.inscribed_curvature(unit_triple.quad)
+    grid = gasket.geometric_grid(c0, 1e12 * c0, 33)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            gasket.count_profile(unit_triple, grid, cap=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6
 
 
 def test_fit_dimension_synthetic_power_law():
