@@ -65,10 +65,20 @@ class Network:
         return float(self.edge_mass.sum())
 
     def stiffness(self) -> sp.csr_matrix:
-        rows = self.edges[:, [0, 1, 0, 1]].ravel()
-        cols = self.edges[:, [1, 0, 0, 1]].ravel()
-        vals = np.outer(self.conductance, [-1.0, -1.0, 1.0, 1.0]).ravel()
-        n = self.n_vertices
+        """The matrix L with u^T L u = E(u), in CSR form.
+
+        Its coordinate list has one entry per matrix place: -c_e at (i, j)
+        and (j, i) for each edge, and each vertex's summed conductances
+        (``vertex_conductance_scale``) on the diagonal.  So ``tocsr`` has
+        nothing to sum, and ``data`` and ``indices`` hold exactly nnz
+        entries.  The bits equal those of summing +-c_e over four entries
+        per edge in edge order.
+        """
+        n, (i, j), c = self.n_vertices, self.edges.T, self.conductance
+        idx = np.int32 if 2 * len(c) + n < 2**31 else np.int64  # scipy's index type
+        rows = np.concatenate((i, j, np.arange(n)), dtype=idx)
+        cols = np.concatenate((j, i, np.arange(n)), dtype=idx)
+        vals = np.concatenate((-c, -c, self.vertex_conductance_scale()))
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     def energy(self, u) -> float:
@@ -185,11 +195,22 @@ def _cell_shape(quads: np.ndarray):
     return kappa / alpha.prod(axis=1, keepdims=True), 2.0 * np.arctan(alpha / kappa) / alpha
 
 
+# offsets per ``math.atan2`` pass of ``_angles``.  Its Python float lists
+# took 167 MB traced for the 1.6M offsets of unit m=12 in one pass, and 13 MB
+# (the output) at 2^12, no slower (BENCH_20.json)
+_ANGLE_CHUNK = 1 << 12
+
+
 def _angles(d: np.ndarray) -> np.ndarray:
     """Polar angles of (..., 2) offsets by ``math.atan2``: ``np.arctan2``
-    rounds differently in the last bit on some inputs."""
-    x, y = d.reshape(-1, 2).T.tolist()
-    return np.array(list(map(math.atan2, y, x))).reshape(d.shape[:-1])
+    rounds differently in the last bit on some inputs.  The offsets go
+    through Python floats ``_ANGLE_CHUNK`` at a time."""
+    flat = d.reshape(-1, 2)
+    out = np.empty(len(flat))
+    for s in range(0, len(flat), _ANGLE_CHUNK):
+        x, y = flat[s:s + _ANGLE_CHUNK].T.tolist()
+        out[s:s + _ANGLE_CHUNK] = list(map(math.atan2, y, x))
+    return out.reshape(d.shape[:-1])
 
 
 def _facing_arc(theta_a, theta_b):
@@ -251,7 +272,11 @@ def assemble_arc_fem(
 ) -> ArcNetwork:
     """Arc network truncated at depth m: every arc is split at the V_m points
     on it, then each piece is subdivided into ``refine`` equal-angle segments.
-    At depth 0 it is the three outer arcs alone."""
+    At depth 0 it is the three outer arcs alone.
+
+    The pieces are found first (``_arc_pieces``), and only their five
+    per-piece arrays outlive that step; ``points`` and ``edges`` are then
+    written in place into arrays of their final size."""
     if not t.is_bounded:
         raise HalfPlanePresent("arc network needs three bounded disks")
     if m < 0 or refine < 1:
@@ -259,7 +284,41 @@ def assemble_arc_fem(
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     n_vm = cx.num_vertices_at(m)
+    c, v_a, v_b, th_a, sweep = _arc_pieces(cx, m)
 
+    # each piece is split into ``refine`` equal-angle segments; new points
+    # get ids in piece order
+    r, dt = cx.radii[c], sweep / refine
+    length = r * dt
+    th = th_a[:, None] + np.arange(1, refine) * dt[:, None]
+    points = np.empty((n_vm + th.size, 2))
+    points[:n_vm] = cx.points[:n_vm]
+    new = points[n_vm:].reshape(*th.shape, 2)
+    for axis, trig in enumerate((np.cos, np.sin)):  # center + r * trig(th)
+        val = trig(th)
+        val *= r[:, None]
+        np.add(cx.centers[c, axis, None], val, out=new[..., axis])
+    del th, val  # the angle grid is not needed past here
+    edges = np.empty((len(c), refine, 2), dtype=int)  # row k: the chain of piece k
+    edges[:, 0, 0], edges[:, -1, 1] = v_a, v_b
+    edges[:, 1:, 0] = np.arange(n_vm, len(points)).reshape(new.shape[:2])
+    edges[:, :-1, 1] = edges[:, 1:, 0]
+    return ArcNetwork(
+        points=points,
+        edges=edges.reshape(-1, 2),
+        conductance=np.repeat(r / length, refine),
+        edge_mass=np.repeat(r * length, refine),
+        depth=m,
+        refine=refine,
+        n_vm=n_vm,
+        arc_ids=np.repeat(c, refine),
+    )
+
+
+def _arc_pieces(cx: GasketComplex, m: int):
+    """The arc pieces of the depth-m network: per piece, its circle, first
+    and last V_m point, start angle and sweep, pieces in id order."""
+    n_vm = cx.num_vertices_at(m)
     # every V_m point lies on the two circles of its pair
     cid = cx.vertex_pairs[:n_vm].ravel()
     vid = np.repeat(np.arange(n_vm), 2)
@@ -285,27 +344,7 @@ def assemble_arc_fem(
     nxt = np.arange(1, len(c) + 1)  # the last vertex on a circle wraps to its first
     nxt[np.flatnonzero(np.diff(c, append=-1))] = np.flatnonzero(np.diff(c, prepend=-1))
     pieces.append((c, v, v[nxt], th, np.mod(th[nxt] - th, TWO_PI)))
-
-    # each piece is split into ``refine`` equal-angle segments; new points
-    # get ids in piece order
-    c, v_a, v_b, th_a, sweep = (np.concatenate(x) for x in zip(*pieces))
-    r, dt = cx.radii[c], sweep / refine
-    th = th_a[:, None] + np.arange(1, refine) * dt[:, None]
-    (x0, y0), rr = cx.centers[c, :, None].transpose(1, 0, 2), r[:, None]
-    new = np.stack((x0 + rr * np.cos(th), y0 + rr * np.sin(th)), axis=-1)
-    new_ids = n_vm + np.arange(th.size).reshape(th.shape)
-    chain = np.column_stack((v_a, new_ids, v_b))
-    radius, length = np.repeat(r, refine), np.repeat(r * dt, refine)
-    return ArcNetwork(
-        points=np.concatenate((cx.points[:n_vm], new.reshape(-1, 2))),
-        edges=np.stack((chain[:, :-1], chain[:, 1:]), axis=-1).reshape(-1, 2),
-        conductance=radius / length,
-        edge_mass=radius * length,
-        depth=m,
-        refine=refine,
-        n_vm=n_vm,
-        arc_ids=np.repeat(c, refine),
-    )
+    return tuple(np.concatenate(x) for x in zip(*pieces))
 
 
 def stiffness_to_text(K: sp.spmatrix) -> str:

@@ -523,6 +523,12 @@ def _project(A: sp.csr_matrix, Q: sp.csr_matrix) -> sp.csr_matrix:
     return ((B + B.T) * 0.5).tocsr()
 
 
+# ``syevd`` back-transforms every eigenvector of a block, and a partial
+# request certifies only the kept columns; the subset drivers, asked for the
+# kept columns alone, are still slower at these block sizes (best of 5, BLAS
+# on one thread): arc m=5 refine 3 k=1000, blocks 306/301/607, evd 0.083 s,
+# evr 0.220 s, evx 0.218 s; trace m=7 k=1000, blocks 550/543/1093, evd
+# 0.388 s, evr 0.543 s, evx 0.571 s (BENCH_20.json)
 def _dense(blocks, K, d, k: int):
     """The k lowest eigenvalues of the blocks by ``syevd``, and their residual.
 

@@ -1,11 +1,13 @@
-"""Per-item reference implementations of the gasket complex, the circle count
-and the arc network, kept as oracles for the array-at-a-time code.
+"""Per-item reference implementations of the gasket complex, the circle count,
+the arc network and the stiffness matrix, kept as oracles for the
+array-at-a-time code.
 
 These are the scalar algorithms the package used before it built one
 generation at a time: a per-cell breadth-first builder that calls the scalar
 inscribed-disk and tangency-point constructions once per cell, a depth-first
-counting walk, and an arc network assembled from a dict of incidences, one
-segment per Python iteration.  The carpet orbit and its separation come from
+counting walk, an arc network assembled from a dict of incidences, one
+segment per Python iteration, and a stiffness matrix converted from four
+coordinate entries per edge.  The carpet orbit and its separation come from
 KD-tree neighbour queries (``scipy.spatial.cKDTree``).  The equivalence
 tests compare the arrays bit for bit.
 """
@@ -19,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from gasketlab.carpet import SEPARATION_EPS_CAP, CircleOrbit, GroupConfig, generators
@@ -335,6 +338,16 @@ def assemble_arc_fem(t: DiskTriple, m: int, refine: int, cx: LegacyComplex):
     r, l = np.array(radius), np.array(length)
     return (np.array(points), np.array(ends, dtype=int).reshape(-1, 2), r / l, r * l,
             np.array(arc_ids))
+
+
+def stiffness(net) -> sp.csr_matrix:
+    """Stiffness of a network through a COO of four entries per edge, which
+    ``tocsr`` sums: -c at (i, j) and (j, i), +c at (i, i) and (j, j)."""
+    rows = net.edges[:, [0, 1, 0, 1]].ravel()
+    cols = net.edges[:, [1, 0, 0, 1]].ravel()
+    vals = np.outer(net.conductance, [-1.0, -1.0, 1.0, 1.0]).ravel()
+    n = net.n_vertices
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def enumerate_circles(cfg: GroupConfig, min_radius: float, cap: int = 10**7) -> CircleOrbit:

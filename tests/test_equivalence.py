@@ -1,7 +1,7 @@
-"""The array-at-a-time complex, arc network and circle count against the
-per-item reference implementations in ``legacy.py``, bit for bit; the
-closed-form cell areas and arc lengths against their geometric values; the
-carpet orbit and its separation against the KD-tree versions."""
+"""The array-at-a-time complex, arc network, stiffness matrix and circle
+count against the per-item reference implementations in ``legacy.py``, bit
+for bit; the closed-form cell areas and arc lengths against their geometric
+values; the carpet orbit and its separation against the KD-tree versions."""
 
 import numpy as np
 import pytest
@@ -53,6 +53,20 @@ def test_complex_matches_per_cell_builder(complexes):
         assert [gasket.word_index(c.word) for c in cells] == list(range(3**j))
 
 
+def test_disk_chunk_changes_no_bit(complexes, monkeypatch):
+    # rows are independent: chunks of 1 and 7 cells give the bits of the
+    # default chunk, which the test above checks against the per-cell builder
+    t, cx, _ = complexes
+    for chunk in (1, 7):
+        monkeypatch.setattr(gasket, "_DISK_CHUNK", chunk)
+        other = gasket.build_complex(t, 6)
+        for name in ("points", "vertex_pairs", "centers", "radii", "curvatures", "births"):
+            assert getattr(other, name).tobytes() == getattr(cx, name).tobytes()
+        for j in range(7):
+            assert other.quads[j].tobytes() == cx.quads[j].tobytes()
+            assert other.vertex_ids[j].tobytes() == cx.vertex_ids[j].tobytes()
+
+
 @pytest.mark.parametrize("m", [0, 2, 4])
 def test_shallow_complex_is_a_prefix(complexes, m):
     # a depth-m build equals the first levels and ids of a deeper one
@@ -79,6 +93,40 @@ def test_arc_network_matches_dict_assembly(name, refine):
         assert same_bits(net.conductance, conductance)
         assert same_bits(net.edge_mass, mass)
         assert np.array_equal(net.arc_ids, arc_ids)
+
+
+def test_angle_chunk_changes_no_bit(monkeypatch):
+    t = TRIPLES["1,2,3"]
+    cx = gasket.build_complex(t, 5)
+    ref = forms.assemble_arc_fem(t, 5, 2, cx)
+    for chunk in (1, 7):
+        monkeypatch.setattr(forms, "_ANGLE_CHUNK", chunk)
+        net = forms.assemble_arc_fem(t, 5, 2, cx)
+        for name in ("points", "edges", "conductance", "edge_mass", "arc_ids"):
+            assert getattr(net, name).tobytes() == getattr(ref, name).tobytes()
+
+
+@pytest.mark.parametrize("curvatures", [(1, 1, 1), (1, 2, 3), (0.4, 2.7, 5)],
+                         ids=["unit", "1,2,3", "0.4,2.7,5"])
+def test_stiffness_matches_coo_build(curvatures):
+    # the CSR arrays of tocsr over four entries per edge, byte for byte, for
+    # the trace form and the arc network at refine 1 and 3; and each buffer
+    # holds exactly nnz entries (tocsr left views of its 4E-entry buffers)
+    t = geom.triple_from_curvatures(*curvatures)
+    cx = gasket.build_complex(t, 9)
+    for m in range(10):
+        nets = [forms.assemble_trace_form(t, m, cx)]
+        nets += [forms.assemble_arc_fem(t, m, refine, cx) for refine in (1, 3)]
+        for net in nets:
+            K, old = net.stiffness(), legacy.stiffness(net)
+            assert K.shape == old.shape
+            for part in ("data", "indices", "indptr"):
+                new_part, old_part = getattr(K, part), getattr(old, part)
+                assert new_part.dtype == old_part.dtype
+                assert new_part.tobytes() == old_part.tobytes()
+            for part in (K.data, K.indices):
+                owner = part if part.base is None else part.base
+                assert owner.nbytes == part.nbytes == K.nnz * part.itemsize
 
 
 @pytest.mark.parametrize("name", ["unit", "1,2,3"])

@@ -327,6 +327,41 @@ def test_build_rejects_inconsistent_triple(unit_triple):
         geom.inscribed_disk(bad)
 
 
+def test_build_checks_the_last_chunk_of_the_deepest_level(unit_triple, monkeypatch):
+    # the deepest inscribed disks are checked but not stored; a bad
+    # quadruple in the last of their chunks still fails the build
+    real = gasket.child_quad
+
+    def bad_last_cell(quad, letter):
+        out = real(quad, letter)
+        if letter == "3" and len(quad[3]) == 27:  # building depth 4 from depth 3
+            kappa = out[3].copy()
+            kappa[-1] *= 1.0 + 1e-3
+            out = (*out[:3], kappa)
+        return out
+
+    monkeypatch.setattr(gasket, "_DISK_CHUNK", 7)
+    monkeypatch.setattr(gasket, "child_quad", bad_last_cell)
+    gasket.build_complex(unit_triple, 3)
+    with pytest.raises(NumericBreakdown, match="tangency residual"):
+        gasket.build_complex(unit_triple, 4)
+
+
+def test_build_complex_memory_is_bounded(unit_triple):
+    # inscribed disks and tangency points are computed a chunk of cells at a
+    # time: the traced peak at m=10 is about 1.5 times the stored arrays,
+    # where one call per level peaked at 4.3 times
+    tracemalloc.start()
+    try:
+        cx = gasket.build_complex(unit_triple, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (cx.points, cx.vertex_pairs, cx.centers, cx.radii, cx.curvatures, cx.births,
+              *cx.quads, *cx.vertex_ids)
+    assert peak < 2.5 * sum(a.nbytes for a in arrays)
+
+
 def test_batched_inscribed_disks_check_every_row(unit_triple):
     # one bad row among many good ones fails the whole batch
     good = [geom.transform_triple(unit_triple, scale=s) for s in (0.5, 1.0, 2.0)]
