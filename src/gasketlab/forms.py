@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import HalfPlanePresent
-from .gasket import GasketComplex, build_complex
+from .gasket import GasketComplex, build_complex, index_dtype
 from .geom import DiskTriple, Point
 
 TWO_PI = 2.0 * math.pi
@@ -45,10 +45,13 @@ def _conductances(quad: np.ndarray) -> np.ndarray:
 class Network:
     """Weighted graph with energy E(u) = sum_e c_e (u_i - u_j)^2.
 
-    ``points`` is an (n, 2) array and ``edges`` an (E, 2) int array of endpoint ids.  ``edge_mass`` is the
-    per-edge measure, lumped half to each endpoint; the mass methods need it,
-    and it is None for the trace form.  Vertex sums accumulate edge by edge
-    over the endpoint sequence i_0, j_0, i_1, j_1, ...
+    ``points`` is an (n, 2) array and ``edges`` an (E, 2) array of endpoint
+    ids, which the builders make in ``gasket.index_dtype(n)``: int32 below
+    2^31 - 1 vertices.  ``stiffness`` picks its index type by the same
+    rule.  ``edge_mass`` is the per-edge measure, lumped half to each
+    endpoint; the mass methods need it, and it is None for the trace form.
+    Vertex sums accumulate edge by edge over the endpoint sequence i_0, j_0,
+    i_1, j_1, ...
     """
 
     points: np.ndarray
@@ -75,7 +78,7 @@ class Network:
         per edge in edge order.
         """
         n, (i, j), c = self.n_vertices, self.edges.T, self.conductance
-        idx = np.int32 if 2 * len(c) + n < 2**31 else np.int64  # scipy's index type
+        idx = index_dtype(2 * len(c) + n)  # scipy's index type for this nnz
         rows = np.concatenate((i, j, np.arange(n)), dtype=idx)
         cols = np.concatenate((j, i, np.arange(n)), dtype=idx)
         vals = np.concatenate((-c, -c, self.vertex_conductance_scale()))
@@ -239,7 +242,9 @@ class ArcNetwork(Network):
     length.  ``arc_ids[k]`` is the id of the circle (into the complex's
     circle arrays) that edge k lies on.  Each arc piece between two V_m
     points is a chain of ``refine`` consecutive edges, and its ``refine - 1``
-    inner points follow the V_m ids in piece order.
+    inner points follow the V_m ids in piece order.  ``edges`` and
+    ``arc_ids`` are in ``gasket.index_dtype`` of the vertex and circle
+    counts.
     """
 
     depth: int
@@ -253,15 +258,20 @@ class ArcNetwork(Network):
         The image of a piece is the piece whose end points are the images of
         its own (two circles share at most one point, so the end points name
         the piece); where the map reverses a piece, it reverses the order of
-        the piece's inner points.
+        the piece's inner points.  A piece's key is min * n + max of its end
+        ids, formed in int64: the ends are V_m ids, so it passes 2^31 where
+        n_vm * n does, first at m=9, refine 2.
         """
         r, n = self.refine, self.n_vertices
         a, b = self.edges[::r, 0], self.edges[r - 1::r, 1]  # each piece's two ends
-        key = np.minimum(a, b) * n + np.maximum(a, b)
         ma, mb = vm_map[a], vm_map[b]
-        order = np.argsort(key)
-        image = order[np.searchsorted(key, np.minimum(ma, mb) * n + np.maximum(ma, mb),
-                                      sorter=order)]
+
+        def key(x, y):
+            return np.minimum(x, y).astype(np.int64) * n + np.maximum(x, y)
+
+        own = key(a, b)
+        order = np.argsort(own)
+        image = order[np.searchsorted(own, key(ma, mb), sorter=order)]
         t = np.arange(r - 1)
         inner = np.where((ma != a[image])[:, None], r - 2 - t, t) + image[:, None] * (r - 1)
         return np.concatenate((vm_map, self.n_vm + inner.ravel()))
@@ -299,9 +309,10 @@ def assemble_arc_fem(
         val *= r[:, None]
         np.add(cx.centers[c, axis, None], val, out=new[..., axis])
     del th, val  # the angle grid is not needed past here
-    edges = np.empty((len(c), refine, 2), dtype=int)  # row k: the chain of piece k
+    ids = index_dtype(len(points))
+    edges = np.empty((len(c), refine, 2), dtype=ids)  # row k: the chain of piece k
     edges[:, 0, 0], edges[:, -1, 1] = v_a, v_b
-    edges[:, 1:, 0] = np.arange(n_vm, len(points)).reshape(new.shape[:2])
+    edges[:, 1:, 0] = np.arange(n_vm, len(points), dtype=ids).reshape(new.shape[:2])
     edges[:, :-1, 1] = edges[:, 1:, 0]
     return ArcNetwork(
         points=points,
@@ -321,7 +332,7 @@ def _arc_pieces(cx: GasketComplex, m: int):
     n_vm = cx.num_vertices_at(m)
     # every V_m point lies on the two circles of its pair
     cid = cx.vertex_pairs[:n_vm].ravel()
-    vid = np.repeat(np.arange(n_vm), 2)
+    vid = np.repeat(np.arange(n_vm, dtype=index_dtype(n_vm)), 2)
     theta = _angles(cx.points[vid] - cx.centers[cid])
     pieces = []  # (circle, first vertex, last vertex, start angle, sweep) per arc piece
 
@@ -333,7 +344,8 @@ def _arc_pieces(cx: GasketComplex, m: int):
         order = np.argsort(off, kind="stable")
         v, off = v[order], off[order]
         off[-1] = sweep
-        pieces.append((np.full(len(v) - 1, j), v[:-1], v[1:], start + off[:-1], np.diff(off)))
+        pieces.append((np.full(len(v) - 1, j, dtype=cid.dtype), v[:-1], v[1:], start + off[:-1],
+                       np.diff(off)))
 
     # inscribed circles created strictly above depth m are full circles,
     # split at their vertices in angle order

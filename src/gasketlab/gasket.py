@@ -119,6 +119,13 @@ def _cells_above(j: int) -> int:
     return (3**j - 1) // 2
 
 
+def index_dtype(n: int) -> type:
+    """The integer dtype of an array whose values lie in [-1, n]: int32
+    while n fits in it, else int64.  For ``n`` = nnz this is scipy's own
+    choice of sparse index type."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
 # vertex slots of child j: it keeps the parent's q_j, and its other two slots
 # take the parent's new points p_s (where the inscribed disk touches member s);
 # entries index (q1, q2, q3, p1, p2, p3)
@@ -126,8 +133,8 @@ _CHILD_VERTICES = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 
 # cells per inscribed-disk and tangency-point call of GasketComplex: the
 # rows are independent, so the chunk changes no bit.  Unit triple, m=12: 2^12
-# takes 0.57 s at a 113 MB traced peak (81 MB stored); 2^8 takes 1.2 s, and
-# one call per level 0.69 s at 352 MB (BENCH_20.json)
+# takes 0.57 s; 2^8 takes 1.2 s, and one call per level 0.69 s at a 352 MB
+# traced peak (BENCH_20.json)
 _DISK_CHUNK = 1 << 12
 
 
@@ -154,9 +161,14 @@ class GasketComplex:
     half-plane has radius inf and center nan); the inscribed disk of cell i
     at depth j < depth has id 3 + (3^j - 1)/2 + i and birth j.
 
+    The integer arrays are built in ``index_dtype`` of their largest value
+    (nV, nC and the depth), so int32 below 2^31 - 1 vertices.
+
     Inscribed disks and tangency points are computed ``_DISK_CHUNK`` cells
     at a time, so their temporaries stay bounded at every depth; the
-    deepest level's inscribed disks are only checked.
+    deepest level's inscribed disks are only checked.  A cell's member
+    circle ids are formed per chunk from its parent's vertex pairs
+    (``_members``), so no level's member ids are held whole.
     """
 
     def __init__(self, root: DiskTriple, depth: int):
@@ -165,12 +177,13 @@ class GasketComplex:
         self.root = root
         self.depth = depth
         n_circles = 3 + _cells_above(depth)
+        n_points = self.num_vertices_at(depth)
         self.centers = np.full((n_circles, 2), np.nan)
         self.radii = np.full(n_circles, np.inf)
         self.curvatures = np.empty(n_circles)
-        self.births = np.full(n_circles, -1)
-        self.points = np.empty((self.num_vertices_at(depth), 2))
-        self.vertex_pairs = np.empty((len(self.points), 2), dtype=int)
+        self.births = np.full(n_circles, -1, dtype=index_dtype(depth))
+        self.points = np.empty((n_points, 2))
+        self.vertex_pairs = np.empty((n_points, 2), dtype=index_dtype(n_circles))
         self.quads, self.vertex_ids = [], []
         halfplane = None
         for j, d in enumerate(self.root.disks):
@@ -182,41 +195,58 @@ class GasketComplex:
         self.points[:3] = self.root.q
         self.vertex_pairs[:3] = ((1, 2), (2, 0), (0, 1))
         quads = np.array([self.root.quad])
-        vids, cids = np.array([[0, 1, 2]]), np.array([[0, 1, 2]])
+        vids = np.array([[0, 1, 2]], dtype=index_dtype(n_points))
         for level in range(self.depth + 1):
             self.quads.append(quads)
             self.vertex_ids.append(vids)
             n = len(quads)
-            blocks = [slice(s, s + _DISK_CHUNK) for s in range(0, n, _DISK_CHUNK)]
-            cid_in = 3 + _cells_above(level) + np.arange(n)
+            blocks = [slice(s, min(s + _DISK_CHUNK, n)) for s in range(0, n, _DISK_CHUNK)]
+            c_in = 3 + _cells_above(level)  # circle id of cell 0's inscribed disk
             # every inscribed disk of a level is checked before any of its
             # tangency points; the deepest ones are checked but not stored
             for rows in blocks:
-                z, r_in, k_in = inscribed_disks(quads[rows], self.centers[cids[rows]],
-                                                self.radii[cids[rows]], halfplane)
+                cids = self._members(level, rows)
+                z, r_in, k_in = inscribed_disks(quads[rows], self.centers[cids],
+                                                self.radii[cids], halfplane)
                 if level < self.depth:
-                    c = cid_in[rows]
+                    c = slice(c_in + rows.start, c_in + rows.stop)
                     self.centers[c], self.radii[c] = z, r_in
                     self.curvatures[c], self.births[c] = k_in, level
             if level == self.depth:
                 break
-            pid = 3 + 3 * _cells_above(level) + np.arange(3 * n).reshape(n, 3)
+            p_in = 3 + 3 * _cells_above(level)  # vertex id of cell 0's p1
             for rows in blocks:
-                self.points[pid[rows]] = tangency_points(
-                    self.centers[cid_in[rows]], self.radii[cid_in[rows]],
-                    self.centers[cids[rows]], self.radii[cids[rows]], halfplane,
-                )
-            self.vertex_pairs[pid, 0], self.vertex_pairs[pid, 1] = cids, cid_in[:, None]
+                cids = self._members(level, rows)
+                c = slice(c_in + rows.start, c_in + rows.stop)
+                v = slice(p_in + 3 * rows.start, p_in + 3 * rows.stop)
+                self.points[v] = tangency_points(
+                    self.centers[c], self.radii[c], self.centers[cids], self.radii[cids],
+                    halfplane,
+                ).reshape(-1, 2)
+                pairs = self.vertex_pairs[v].reshape(-1, 3, 2)
+                pairs[..., 0], pairs[..., 1] = cids, np.arange(c.start, c.stop)[:, None]
             # child j replaces member j by the inscribed disk (``child_quad``)
             kids = np.empty((n, 3, 4))
             for j, letter in enumerate(LETTERS):
                 for i, column in enumerate(child_quad(quads.T, letter)):
                     kids[:, j, i] = column
             quads = kids.reshape(-1, 4)
-            cids = np.repeat(cids[:, None, :], 3, axis=1)
-            cids[:, [0, 1, 2], [0, 1, 2]] = cid_in[:, None]
-            cids = cids.reshape(-1, 3)
+            pid = np.arange(p_in, p_in + 3 * n, dtype=vids.dtype).reshape(n, 3)
             vids = np.concatenate((vids, pid), axis=1)[:, _CHILD_VERTICES].reshape(-1, 3)
+
+    def _members(self, level: int, rows: slice) -> np.ndarray:
+        """Member circle ids (len, 3) of the depth-``level`` cells ``rows``.
+
+        Child j of a cell has its parent's members, with member j replaced
+        by the parent's inscribed disk; the parent's member s is the first
+        circle of the pair of its tangency point p_s."""
+        if level == 0:
+            return np.array([[0, 1, 2]])
+        lo, hi = rows.start // 3, -(-rows.stop // 3)  # the parents of ``rows``
+        p = 3 + 3 * _cells_above(level - 1) + 3 * lo
+        out = np.repeat(self.vertex_pairs[p:p + 3 * (hi - lo), 0].reshape(-1, 1, 3), 3, axis=1)
+        out[:, [0, 1, 2], [0, 1, 2]] = 3 + _cells_above(level - 1) + np.arange(lo, hi)[:, None]
+        return out.reshape(-1, 3)[rows.start - 3 * lo:rows.stop - 3 * lo]
 
     def num_vertices_at(self, m: int) -> int:
         return 3 + 3 * _cells_above(min(m, self.depth))

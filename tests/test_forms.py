@@ -244,6 +244,20 @@ def test_arc_fem_memory_is_bounded(unit_triple):
     assert peak < 1.8 * sum(a.nbytes for a in arrays)
 
 
+def test_ids_are_32_bit_at_workload_sizes(unit_triple):
+    # every id array of the complex and the forms is built in int32 while
+    # its values fit; the shared rule turns to int64 past 2^31 - 1, read
+    # off the count alone
+    cx = gasket.build_complex(unit_triple, 9)
+    tf = forms.assemble_trace_form(unit_triple, 9, cx)
+    net = forms.assemble_arc_fem(unit_triple, 8, 4, cx)
+    ids = (cx.vertex_pairs, cx.births, *cx.vertex_ids, tf.edges, net.edges, net.arc_ids)
+    assert [a.dtype for a in ids] == [np.int32] * len(ids)
+    assert gasket.index_dtype(2**31 - 1) == np.int32
+    assert gasket.index_dtype(2**31) == np.int64
+    assert gasket.index_dtype(3**40) == np.int64
+
+
 def _loop_stiffness(net):
     K = np.zeros((net.n_vertices, net.n_vertices))
     for (i, j), c in zip(net.edges, net.conductance):

@@ -310,6 +310,15 @@ def test_builders_set_the_rotation(unit_triple, scheme, dirichlet):
         assert e.mirror is not None and e.rotation is None
 
 
+def test_arc_symmetries_past_int32_piece_keys(unit_triple):
+    # a piece's ends are V_m ids (below 29,526 at m=9), and its key is
+    # min * n + max: at m=9 refine 2 (88,575 vertices) that passes 2^31, so
+    # ``extend_vertex_map`` forms it in int64 and both symmetries survive
+    evp = spectra.evp_from_arc_fem(unit_triple, 9, 2)
+    assert evp.n_total == 88575 and 29525 * 88575 > 2**31
+    assert evp.mirror is not None and evp.rotation is not None
+
+
 @pytest.mark.parametrize("corruption, message", [
     ("order 2", "order 3"), ("not conjugated", "inverse"), ("boundary", "boundary"),
     ("pencil", "invariant"), ("no mirror", "needs a mirror"),
