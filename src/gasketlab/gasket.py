@@ -468,12 +468,6 @@ def index_set_I(max_n: int) -> list[str]:
     return out
 
 
-def comparable(w: str, v: str) -> bool:
-    """True when one word is a prefix of the other (cells are nested)."""
-    m = min(len(w), len(v))
-    return w[:m] == v[:m]
-
-
 # ---------------------------------------------------------------------------
 # geometric-hash vertex audit (validation oracle for the symbolic ids)
 

@@ -46,7 +46,7 @@ from .errors import (
     NotConverged,
 )
 from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form
-from .gasket import apply_word, build_complex, index_set_I, word_index
+from .gasket import build_complex, index_set_I, word_index
 from .geom import DiskTriple, transform_triple
 
 # Dense (syevd) against sliced solve time in s at slice size 48, unit triple,
@@ -352,6 +352,8 @@ def count_below(A: sp.csr_matrix, sigma: float) -> int:
     raised instead for a singular factor, an off-diagonal pivot, or a pivot
     below ``PIVOT_RTOL`` times the largest.
     """
+    if A.shape[0] == 0:
+        return 0
     B = (A - sigma * sp.identity(A.shape[0], format="csr")).tocsc()
     try:
         lu = spla.splu(B, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -936,6 +938,8 @@ def n_lambda_of(quad, lam: float) -> int:
 
 def census_index_set(truncation: int) -> list[str]:
     """Pairwise non-nested cell addresses covering the gasket minus V_0."""
+    if truncation < 1:
+        raise ValueError(f"truncation must be at least 1, got {truncation}")
     words = [w for w in index_set_I(truncation - 1) if len(w) <= truncation]
     words += [j * truncation for j in "123"]
     return sorted(words)
@@ -994,44 +998,46 @@ def subdivision_census(
 ) -> CensusReport:
     """Compare the parent eigenvalue count with the sum over census cells.
 
-    Children are assembled at matched depth (parent depth minus the word
-    length) so the constrained parent problem decomposes exactly; the lower
-    bound sum <= parent count is asserted up to ``slack`` tie counts.  The
-    remainder-term upper bound has a non-constructive constant and is
-    reported as the observed gap only.
+    Each count is #{eigenvalues <= lam}: ``count_below`` at the next float
+    above ``lam`` on a restriction of the parent's scaled free pencil.  The
+    parent keeps all free vertices, ``parent_vlambda_count`` drops the census
+    vertices, and cell w keeps its subtree's depth-``depth`` vertices minus
+    its corners.  Every edge and mass term at those vertices comes from the
+    subtree, so this is w's own pencil at depth ``depth - len(w)``.  The
+    bound sum <= parent count holds up to ``slack`` ties; the upper gap is
+    only reported.  ``ValueError`` for ``truncation < 1``, ``lam`` negative,
+    infinite or NaN, or ``depth`` below the effective truncation;
+    ``DegenerateShift`` when a pivot flags ``lam`` as an eigenvalue.
     """
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     n_lam = n_lambda_of(t.quad, lam)
     T = min(truncation, n_lam)
+    words = census_index_set(T)  # ValueError for truncation = T < 1
     if depth is None:
         depth = T
     if depth < T:
         raise ValueError(f"depth {depth} must be at least the effective truncation {T}")
 
     cx = build_complex(t, depth)
-    v_ids = _census_vertex_ids(cx, T)
+    A = _free_pencil(evp_from_trace(t, depth, cx=cx), allow_disconnected=False)[3]
+    shift = np.nextafter(lam, np.inf)
 
-    parent = solve(evp_from_trace(t, depth, dirichlet="v0", cx=cx))
-    parent_count = int(np.sum(parent.eigenvalues <= lam))
-    # constraining all census vertices decouples the cells by construction
-    parent_vl = solve(
-        evp_from_trace(t, depth, dirichlet=tuple(v_ids), cx=cx),
-        allow_disconnected=True,
-    )
-    parent_vl_count = int(np.sum(parent_vl.eigenvalues <= lam))
+    def count(ids) -> int:  # free vertex id i is row i - 3 of A
+        return count_below(A[ids - 3][:, ids - 3], shift)
+
+    v_ids = _census_vertex_ids(cx, T)
+    parent_count = count_below(A, shift)
+    # dropping all census vertices decouples the cells by construction
+    parent_vl_count = count(np.setdiff1d(np.arange(3, A.shape[0] + 3), v_ids))
 
     rows = []
-    child_sum = 0
-    for w in census_index_set(T):
-        child_depth = depth - len(w)
-        child = apply_word(t, w)
-        evp = evp_from_trace(child, child_depth, dirichlet="v0")
-        if evp.n_free == 0:
-            rows.append(CensusRow(w, child_depth, 0, 0))
-            continue
-        spec = solve(evp)
-        cnt = int(np.sum(spec.eigenvalues <= lam))
-        child_sum += cnt
-        rows.append(CensusRow(w, child_depth, evp.n_free, cnt))
+    for w in words:
+        i, span = word_index(w), 3 ** (depth - len(w))
+        inner = np.setdiff1d(cx.vertex_ids[depth][i * span:(i + 1) * span],
+                             cx.vertex_ids[len(w)][i])
+        rows.append(CensusRow(w, depth - len(w), len(inner), count(inner)))
+    child_sum = sum(r.count for r in rows)
 
     return CensusReport(
         lam=lam,

@@ -9,7 +9,9 @@ counting walk, an arc network assembled from a dict of incidences, one
 segment per Python iteration, and a stiffness matrix converted from four
 coordinate entries per edge.  The carpet orbit and its separation come from
 KD-tree neighbour queries (``scipy.spatial.cKDTree``).  The equivalence
-tests compare the arrays bit for bit.
+tests compare the arrays bit for bit.  The subdivision census counts come
+from full eigensolves, each census cell's pencil rebuilt from its child
+triple; those are compared count for count.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from gasketlab import spectra
 from gasketlab.carpet import SEPARATION_EPS_CAP, CircleOrbit, GroupConfig, generators
 from gasketlab.errors import BudgetExceeded, NotTangent, NumericBreakdown, TwoHalfPlanes
-from gasketlab.gasket import LETTERS, child_quad
+from gasketlab.gasket import LETTERS, apply_word, build_complex, child_quad
 from gasketlab.geom import (
     _AMBIENT_EPS,
     GEOM_RTOL,
@@ -417,3 +420,28 @@ def separation_stats(o: CircleOrbit):
     d = np.hypot(pts[j, 0] - pts[i, 0], pts[j, 1] - pts[i, 1])
     eps_vals = (d - r_i - r_j) / np.minimum(r_i, r_j)
     return float(eps_vals.min()), len(i)
+
+
+def census_counts(t: DiskTriple, lam: float, truncation: int, depth: int):
+    """The subdivision census by eigensolves: #{eigenvalues <= lam} of the
+    parent trace pencil at ``depth``, of the parent with the census vertices
+    fixed, and rows (word, child depth, n_free, count) for each census cell w,
+    whose pencil is built from the child triple ``apply_word(t, w)`` at depth
+    ``depth - len(w)``."""
+    T = min(truncation, spectra.n_lambda_of(t.quad, lam))
+
+    def count(evp, allow_disconnected=False):
+        if evp.n_free == 0:
+            return 0
+        lams = spectra.solve(evp, allow_disconnected=allow_disconnected).eigenvalues
+        return int(np.sum(lams <= lam))
+
+    cx = build_complex(t, depth)
+    parent = count(spectra.evp_from_trace(t, depth, cx=cx))
+    fixed = tuple(spectra._census_vertex_ids(cx, T))
+    vl = count(spectra.evp_from_trace(t, depth, dirichlet=fixed, cx=cx), allow_disconnected=True)
+    rows = []
+    for w in spectra.census_index_set(T):
+        evp = spectra.evp_from_trace(apply_word(t, w), depth - len(w))
+        rows.append((w, depth - len(w), evp.n_free, count(evp)))
+    return parent, vl, rows

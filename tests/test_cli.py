@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -119,6 +120,20 @@ def test_checks_suite_exit_zero(capsys, suite):
     code, out, _ = run_cli(capsys, "checks", "--suite", suite)
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_checks_census_csv(capsys, tmp_path):
+    out_file = tmp_path / "census.csv"
+    code, out, _ = run_cli(capsys, "--out", str(out_file), "checks", "--suite", "census")
+    assert code == 0
+    assert "[PASS] census lower bound  sum 0 <= parent 12" in out
+    text = out_file.read_text()
+    lines = text.splitlines()
+    assert len(lines) == 36
+    assert lines[0] == "word,child_depth,n_free,count"
+    assert lines[-2:] == ["TOTAL,,,0", "PARENT,,,12"]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "f57d1f6b324c61235d1186eba1fe63d33925cfb3cdeaadd3a22c006361909768"
 
 
 def test_checks_interlacing_violation_exit_two(capsys, monkeypatch):

@@ -1,13 +1,14 @@
 """The array-at-a-time complex, arc network, stiffness matrix and circle
 count against the per-item reference implementations in ``legacy.py``, bit
 for bit; the closed-form cell areas and arc lengths against their geometric
-values; the carpet orbit and its separation against the KD-tree versions."""
+values; the carpet orbit and its separation against the KD-tree versions;
+the subdivision census against its eigensolve route."""
 
 import numpy as np
 import pytest
 
 import legacy
-from gasketlab import carpet, forms, gasket, geom
+from gasketlab import carpet, forms, gasket, geom, spectra
 from gasketlab.errors import BudgetExceeded
 
 TRIPLES = {
@@ -279,3 +280,14 @@ def test_separation_sees_a_pair_at_the_cell_edge():
     o = carpet.CircleOrbit(carpet.solve_params(8), 1e-9, centers + 0j,
                            np.array([r, r, r * 1e-3]), np.ones(3, dtype=int))
     assert carpet.separation_stats(o) == legacy.separation_stats(o) == (2.0, 1)
+
+
+@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (2.0, 1.0, 2.0)])
+@pytest.mark.parametrize("lam, truncation, depth", [(3000.0, 2, 5), (1000.0, 3, 6)])
+def test_census_matches_eigensolves(curvatures, lam, truncation, depth):
+    t = geom.triple_from_curvatures(*curvatures)
+    rep = spectra.subdivision_census(t, lam, truncation, depth)
+    parent, vl, rows = legacy.census_counts(t, lam, truncation, depth)
+    assert rep.parent_count == parent
+    assert rep.parent_vlambda_count == vl
+    assert [(r.word, r.child_depth, r.n_free, r.count) for r in rep.rows] == rows

@@ -1076,6 +1076,21 @@ def test_census_vertices_formula(unit_triple):
         assert len(ids) == 9 * n - 3
 
 
+CENSUS_UNIT_3000 = """word,child_depth,n_free,count
+11,3,39,11
+12,3,39,5
+13,3,39,5
+21,3,39,5
+22,3,39,11
+23,3,39,5
+31,3,39,5
+32,3,39,5
+33,3,39,11
+TOTAL,,,63
+PARENT,,,75
+"""
+
+
 def test_census_exact_decomposition(unit_triple):
     rep = spectra.subdivision_census(unit_triple, lam=3000.0, truncation=2, depth=5)
     assert rep.child_sum == rep.parent_vlambda_count  # matched depth is exact
@@ -1084,6 +1099,7 @@ def test_census_exact_decomposition(unit_triple):
     counts = {r.word: r.count for r in rep.rows}
     assert counts["11"] == counts["22"] == counts["33"]  # symmetry of (1,1,1)
     assert rep.child_sum > 0
+    assert rep.to_csv() == CENSUS_UNIT_3000
 
 
 def test_census_deep_tail_case(unit_triple):
@@ -1100,6 +1116,59 @@ def test_census_below_gap_both_sides_zero(unit_triple):
     lam = 3.0 / 40.0 * 0.5
     rep = spectra.subdivision_census(unit_triple, lam=lam, truncation=2, depth=4)
     assert rep.parent_count == 0 and rep.child_sum == 0
+
+
+
+
+@pytest.mark.parametrize("truncation", [0, -1])
+def test_census_rejects_truncation_below_one(unit_triple, truncation):
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        spectra.census_index_set(truncation)
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        spectra.subdivision_census(unit_triple, lam=3000.0, truncation=truncation, depth=5)
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        spectra.subdivision_census(unit_triple, lam=3000.0, truncation=truncation)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -math.inf, math.inf, math.nan])
+def test_census_rejects_bad_lambda(unit_triple, lam):
+    with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+        spectra.subdivision_census(unit_triple, lam=lam, truncation=2, depth=5)
+
+
+def test_census_builds_one_complex_and_solves_nothing(unit_triple, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census counts by inertia, not by eigensolves")
+
+    built, build = [], spectra.build_complex
+
+    def counted(t, depth):
+        built.append(depth)
+        return build(t, depth)
+
+    monkeypatch.setattr(spectra, "solve", refuse)
+    monkeypatch.setattr(spectra.spla, "eigsh", refuse)
+    monkeypatch.setattr(spectra.sla, "eigh", refuse)
+    monkeypatch.setattr(spectra, "build_complex", counted)
+    rep = spectra.subdivision_census(unit_triple, lam=3000.0, truncation=2, depth=5)
+    assert built == [5]
+    assert rep.to_csv() == CENSUS_UNIT_3000
+    assert rep.parent_vlambda_count == rep.child_sum == 63
+
+
+def test_census_on_an_eigenvalue(unit_triple):
+    # a computed eigenvalue of the parent is refused by a tiny pivot, or,
+    # where the pivots miss it (first at the 63rd), counted on one side of
+    # the roundoff tie
+    lams = spectra.solve(spectra.evp_from_trace(unit_triple, 5)).eigenvalues
+    tol = 1e-9 * lams[-1]
+    for i, lam in enumerate(lams[:75]):
+        try:
+            rep = spectra.subdivision_census(unit_triple, float(lam), truncation=2, depth=5)
+        except DegenerateShift:
+            continue
+        assert i >= 11, f"the pivots miss eigenvalue {i}"
+        assert np.sum(lams < lam - tol) <= rep.parent_count <= np.sum(lams <= lam + tol)
 
 
 def test_spectrum_json_schema(unit_triple):
