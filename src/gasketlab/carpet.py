@@ -360,6 +360,8 @@ class RadialBump:
 @functools.lru_cache(maxsize=8)
 def _unit_circle(refine: int):
     """(cos theta, sin theta) at theta = 2 pi j / refine, read-only and shared."""
+    if not isinstance(refine, (int, np.integer)) or refine < 1:
+        raise ValueError(f"refine must be a positive integer, got {refine!r}")
     th = TWO_PI * np.arange(refine) / refine
     table = np.cos(th), np.sin(th)
     for a in table:

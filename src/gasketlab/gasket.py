@@ -286,17 +286,15 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     The cells whose inscribed curvature is at most max(grid) form a subtree
     of the cell tree (a child's inscribed disk curves more than its parent's,
     and a pruned cell is never expanded).  That subtree is walked in chunks
-    of at most ``_COUNT_CHUNK`` cells.  Kept cells wait in one buffer per
-    depth as rows (a, b, c, k, c_in).  Each step takes a chunk from the
-    deepest depth whose buffer fills one; when none does, it takes all the
-    cells of the shallowest depth that holds any.  So the wide middle of the
-    tree goes depth first in full chunks, and the narrow cusp tails are
-    walked once each level, all tails together.  A step computes each
-    child's fourth member and inscribed curvature straight from the parent
-    rows, in the operation order of ``child_quad`` and
-    ``inscribed_curvature`` (the same bits), and gathers only the kept
-    children.  The buffers hold O(chunk) cells per depth that the wide part
-    reaches, not a whole level.
+    of at most ``_COUNT_CHUNK`` cells.  Kept cells wait as rows
+    (a, b, c, k, c_in) in one last-in-first-out pool of blocks, whatever
+    their depth.  Each step takes a chunk from the newest blocks and pushes
+    its kept children as one block, so the wide middle of the tree goes
+    depth first in full chunks, and the narrow cusp tails share chunks.  A
+    step computes each child's fourth member and inscribed curvature
+    straight from the parent rows, in the operation order of ``child_quad``
+    and ``inscribed_curvature`` (the same bits), and gathers only the kept
+    children.
 
     Every kept cell is counted once, whatever the traversal.  A cell counts
     against ``cap`` when it is found, and a found cell is already a kept
@@ -314,31 +312,19 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     total = root.shape[1]
     if total > cap:
         raise BudgetExceeded(f"count exceeded cap {cap}")
-    # pending[d]: blocks of kept depth-d cells; waiting[d]: how many
-    pending, waiting = [[root]], [total]
-    full, shallow = [], 0  # depths holding a chunk, ascending; first nonempty
-    while True:
-        if full:
-            d = full[-1]
-        else:
-            while shallow < len(waiting) and not waiting[shallow]:
-                shallow += 1
-            if shallow == len(waiting):
-                break
-            d = shallow
-        blocks, n = pending[d], min(waiting[d], _COUNT_CHUNK)
+    pool, held = [root], total  # blocks of kept cells, newest last; cells in them
+    while held:
+        n = min(held, _COUNT_CHUNK)
         taken, got = [], 0
         while got < n:
-            X = blocks.pop()
+            X = pool.pop()
             if got + X.shape[1] > n:
                 cut = X.shape[1] - (n - got)
-                blocks.append(X[:, :cut].copy())
+                pool.append(X[:, :cut].copy())
                 X = X[:, cut:]
             taken.append(X)
             got += X.shape[1]
-        waiting[d] -= n
-        if full and waiting[d] < _COUNT_CHUNK:
-            full.pop()
+        held -= n
         X = taken[0] if len(taken) == 1 else np.concatenate(taken, axis=1)
         a, b, c, k, cin = X
         counts += np.searchsorted(np.sort(cin), edges, side="right")  # cells with c_in <= lam
@@ -359,13 +345,8 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
             Y[j, lo:hi] = Y[4, lo:hi]
             Y[3, lo:hi], Y[4, lo:hi] = kj[idx], cj[idx]
             lo = hi
-        if d + 1 == len(pending):
-            pending.append([])
-            waiting.append(0)
-        pending[d + 1].append(Y)
-        waiting[d + 1] += Y.shape[1]
-        if waiting[d + 1] >= _COUNT_CHUNK:  # deeper than every depth in ``full``
-            full.append(d + 1)
+        pool.append(Y)
+        held += Y.shape[1]
     return list(zip(grid, counts.tolist()))
 
 

@@ -158,7 +158,7 @@ def evp_from_trace(t: DiskTriple, m: int, dirichlet="v0", mass_scheme="mu", cx=N
         cx = build_complex(t, m)
     form = assemble_trace_form(t, m, cx)
     mass = assemble_mass_trace(t, m, cx, scheme=mass_scheme)
-    K, boundary = form.stiffness(), _resolve_boundary(dirichlet, form.n_vertices)
+    K, boundary = form.stiffness(), _resolve_boundary(dirichlet)
     mirror, rotation = _mirror(t, cx, m, K, mass.values, boundary)
     return GeneralizedEVP(
         stiffness=K,
@@ -176,7 +176,7 @@ def evp_from_arc_fem(t: DiskTriple, m: int, refine: int, dirichlet="v0", cx=None
         cx = build_complex(t, m)
     net = assemble_arc_fem(t, m, refine, cx)
     K, mass = net.stiffness(), net.mass_vector().values
-    boundary = _resolve_boundary(dirichlet, net.n_vertices)
+    boundary = _resolve_boundary(dirichlet)
     mirror, rotation = _mirror(t, cx, m, K, mass, boundary, net)
     return GeneralizedEVP(
         stiffness=K,
@@ -254,7 +254,7 @@ def _keeps(mirror, ids) -> bool:
     return bool(np.array_equal(np.sort(mirror[ids]), ids))
 
 
-def _resolve_boundary(dirichlet, n) -> tuple[int, ...]:
+def _resolve_boundary(dirichlet) -> tuple[int, ...]:
     if dirichlet is None or dirichlet == "none":
         return ()
     if dirichlet == "v0":
@@ -350,7 +350,10 @@ def count_below(A: sp.csr_matrix, sigma: float) -> int:
     SuperLU factors A - sigma I symmetrically with diagonal pivots only, so
     U = D L^T and the negative pivots are the count.  ``DegenerateShift`` is
     raised instead for a singular factor, an off-diagonal pivot, or a pivot
-    below ``PIVOT_RTOL`` times the largest.
+    below ``PIVOT_RTOL`` times the largest.  That test does not flag every
+    shift on an eigenvalue: on unit trace m=5, 61 of 363 shifts placed on
+    its computed eigenvalues passed it.  A count at a shift within roundoff
+    of an eigenvalue may therefore fall on either side of the tie.
     """
     if A.shape[0] == 0:
         return 0

@@ -332,6 +332,20 @@ def test_harmonicity_gauss_green_per_circle():
     assert lhs == pytest.approx(rhs, abs=1e-12 + 1e-9 * abs(rhs))
 
 
+@pytest.mark.parametrize("refine", [0, -4, 2.5])
+def test_harmonicity_rejects_bad_refine(refine):
+    # a nonpositive refine gives an empty quadrature: a perfect-looking 0.0
+    cfg = carpet.solve_params(8)
+    o = carpet.enumerate_circles(cfg, 1e-1)
+    bump = carpet.RadialBump((0.2, 0.1), 0.4)
+    with pytest.raises(ValueError, match="refine"):
+        carpet.harmonicity_residual(o, bump, refine=refine)
+    with pytest.raises(ValueError, match="refine"):
+        carpet.harmonicity_contributions(o, bump, refine=refine)
+    with pytest.raises(ValueError, match="refine"):
+        carpet.circle_pairing_gauss_green(0.1 + 0.1j, 0.05, bump, refine=refine)
+
+
 def _per_circle_contributions(o, v, refine, coordinate):
     th = 2.0 * math.pi * np.arange(refine) / refine
     cosv, sinv = np.cos(th), np.sin(th)

@@ -37,6 +37,18 @@ def test_cli_deterministic_output(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["gasket", "count", "--lambda-max", "30000"],
+     "161c099072e6e8fcd75059064f4070e6808e7962ef46269f767a4f6b7ec103fa"),
+    (["gasket", "count", "--triple", "1,2,3", "--lambda-max", "100000"],
+     "99171c2f8d8ffd73c18cf536b201b732644d0d90f8cbac67007977268fae0dca"),
+])
+def test_count_csv_bytes(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gasket_dim_json(capsys):
     code, out, _ = run_cli(capsys, "gasket", "dim", "--lambda-max", "2000", "--grid", "17")
     assert code == 0
