@@ -5,7 +5,7 @@ Submodules load on first use (PEP 562): ``import gasketlab`` loads no numpy.
 
 import importlib
 
-__all__ = ["carpet", "errors", "forms", "gasket", "geom", "spectra", "svg"]
+__all__ = ["carpet", "checks", "cli", "errors", "forms", "gasket", "geom", "spectra", "svg"]
 __version__ = "0.1.0"
 
 

@@ -19,20 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import HalfPlanePresent
 from .gasket import GasketComplex, build_complex, index_dtype
 from .geom import DiskTriple, Point
 
 TWO_PI = 2.0 * math.pi
-
-
-def cell_conductances(t: DiskTriple) -> tuple[float, float, float]:
-    """Edge conductances of a single cell; edge j joins q_{j+1} and q_{j+2}."""
-    if not t.is_bounded:
-        raise HalfPlanePresent("trace conductances need three bounded disks")
-    return tuple(_conductances(np.array(t.quad)).tolist())
 
 
 def _conductances(quad: np.ndarray) -> np.ndarray:
@@ -120,6 +112,8 @@ class TraceForm(Network):
 def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> TraceForm:
     if not t.is_bounded:
         raise HalfPlanePresent("trace form needs three bounded disks")
+    if m < 0:
+        raise ValueError("depth must be nonnegative")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     cond = _conductances(cx.quads[m]).ravel()
@@ -173,6 +167,8 @@ def assemble_mass_trace(
     """
     if not t.is_bounded:
         raise HalfPlanePresent("trace mass needs three bounded disks")
+    if m < 0:
+        raise ValueError("depth must be nonnegative")
     if cx is None or cx.depth < m:
         cx = build_complex(t, m)
     area, lens = _cell_shape(cx.quads[m])
@@ -376,20 +372,6 @@ def mass_to_text(values) -> str:
     return "\n".join(f"{float(v):.17g}" for v in values) + "\n"
 
 
-def constrained_minimum_energy(form: Network, boundary_ids, u_boundary) -> float:
-    """min { E(v) : v equals the given data on the boundary ids }."""
-    n = form.n_vertices
-    boundary_ids = np.asarray(boundary_ids, dtype=int)
-    u = np.zeros(n)
-    u[boundary_ids] = np.asarray(u_boundary, dtype=float)
-    free = np.setdiff1d(np.arange(n), boundary_ids)
-    K = form.stiffness().tocsc()
-    if free.size:
-        rhs = -K[free][:, boundary_ids] @ u[boundary_ids]
-        u[free] = spla.spsolve(K[free][:, free], rhs)
-    return form.energy(u)
-
-
 # ---------------------------------------------------------------------------
 # sector extension inequalities on a single circular arc
 
@@ -415,16 +397,6 @@ class ArcSegmentFunction:
     @property
     def thetas(self) -> np.ndarray:
         return np.linspace(self.theta0, self.theta1, len(self.values))
-
-
-def sample_arc_function(center, radius, theta0, theta1, fn, n=64) -> ArcSegmentFunction:
-    """Sample a callable of the plane point z = center + radius*e^{i theta}."""
-    th = np.linspace(theta0, theta1, n)
-    vals = tuple(
-        float(fn(center[0] + radius * math.cos(a), center[1] + radius * math.sin(a)))
-        for a in th
-    )
-    return ArcSegmentFunction(center, radius, theta0, theta1, vals)
 
 
 # relative slack allowed on each side of the comparison inequalities

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, InsufficientRange, NumericBreakdown
+from .errors import BudgetExceeded, InsufficientRange
 from .geom import (
-    ALG_RTOL,
     DiskTriple,
-    Point,
-    circumscribed_disk,
     inscribed_disk,
     inscribed_disks,
     tangency_points,
@@ -55,25 +52,6 @@ def matrix_of(w: str):
     for ch in w:
         M = _mat_mul(M, _LETTER_MATRIX[ch])
     return M
-
-
-def in_gamma(quad, rtol: float = ALG_RTOL) -> bool:
-    a, b, c, k = quad
-    if k <= 0.0 or min(a, b, c) < 0.0:
-        return False
-    return abs(k * k - (b * c + c * a + a * b)) <= rtol * k * k
-
-
-def quadruple_at(quad, w: str):
-    """Right-multiply a curvature quadruple in Gamma by the word matrix."""
-    if not in_gamma(quad):
-        raise ValueError(f"quadruple {quad} is not in Gamma")
-    M = matrix_of(w)
-    a, b, c, k = quad
-    out = tuple(a * M[0][j] + b * M[1][j] + c * M[2][j] + k * M[3][j] for j in range(4))
-    if not in_gamma(out, rtol=1e-10):
-        raise NumericBreakdown(f"kappa identity violated for word {w!r}")
-    return out
 
 
 def child_quad(quad, letter: str):
@@ -447,37 +425,3 @@ def index_set_I(max_n: int) -> list[str]:
                 if j != k:
                     out.append(j * n + k)
     return out
-
-
-# ---------------------------------------------------------------------------
-# geometric-hash vertex audit (validation oracle for the symbolic ids)
-
-
-def audit_vertex_dedupe(cx: GasketComplex) -> int:
-    """Re-deduplicate all vertices geometrically; return the resulting count.
-
-    Independent of the symbolic identification used by the builder: hashes
-    points on a grid of pitch 1e-9 times the root circumscribed diameter and
-    merges anything closer than that.
-    """
-    tol = 1e-9 * 2.0 * circumscribed_disk(cx.root).radius
-    grid: dict[tuple[int, int], list[int]] = {}
-    kept: list[Point] = []
-    for x, y in cx.points.tolist():
-        ix, iy = round(x / tol), round(y / tol)
-        found = None
-        for nx in (ix - 1, ix, ix + 1):
-            for ny in (iy - 1, iy, iy + 1):
-                for idx in grid.get((nx, ny), ()):
-                    px, py = kept[idx]
-                    if math.hypot(px - x, py - y) <= tol:
-                        found = idx
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            kept.append((x, y))
-            grid.setdefault((ix, iy), []).append(len(kept) - 1)
-    return len(kept)

@@ -11,7 +11,8 @@ coordinate entries per edge.  The carpet orbit and its separation come from
 KD-tree neighbour queries (``scipy.spatial.cKDTree``).  The equivalence
 tests compare the arrays bit for bit.  The subdivision census counts come
 from full eigensolves, each census cell's pencil rebuilt from its child
-triple; those are compared count for count.
+triple; those are compared count for count.  The trace compatibility tests
+take the minimum energy under boundary data from one sparse solve.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from gasketlab import spectra
 from gasketlab.carpet import SEPARATION_EPS_CAP, CircleOrbit, GroupConfig, generators
 from gasketlab.errors import BudgetExceeded, NotTangent, NumericBreakdown, TwoHalfPlanes
+from gasketlab.forms import Network
 from gasketlab.gasket import LETTERS, apply_word, build_complex, child_quad
 from gasketlab.geom import (
     _AMBIENT_EPS,
@@ -445,3 +448,17 @@ def census_counts(t: DiskTriple, lam: float, truncation: int, depth: int):
         evp = spectra.evp_from_trace(apply_word(t, w), depth - len(w))
         rows.append((w, depth - len(w), evp.n_free, count(evp)))
     return parent, vl, rows
+
+
+def constrained_minimum_energy(form: Network, boundary_ids, u_boundary) -> float:
+    """min { E(v) : v equals the given data on the boundary ids }."""
+    n = form.n_vertices
+    boundary_ids = np.asarray(boundary_ids, dtype=int)
+    u = np.zeros(n)
+    u[boundary_ids] = np.asarray(u_boundary, dtype=float)
+    free = np.setdiff1d(np.arange(n), boundary_ids)
+    K = form.stiffness().tocsc()
+    if free.size:
+        rhs = -K[free][:, boundary_ids] @ u[boundary_ids]
+        u[free] = spla.spsolve(K[free][:, free], rhs)
+    return form.energy(u)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import legacy
 from conftest import random_triple
 from gasketlab import carpet, checks, forms, gasket, geom, spectra
 
@@ -122,7 +123,7 @@ def test_criterion_05_trace_compatibility(unit):
         for _ in range(20):
             u = rng.standard_normal(nm)
             e_m = tf_m.energy(u)
-            e_min = forms.constrained_minimum_energy(tf_m1, np.arange(nm), u)
+            e_min = legacy.constrained_minimum_energy(tf_m1, np.arange(nm), u)
             worst = max(worst, abs(e_m - e_min) / abs(e_m))
     _report(5, "trace compatibility", worst < 1e-9, time.time() - t0, 30.0,
             f"max rel mismatch {worst:.2e}, 20 random u, m <= 4")

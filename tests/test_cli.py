@@ -2,11 +2,13 @@ import hashlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import gasketlab
 from gasketlab import gasket, geom, spectra
 from gasketlab.cli import main
 from gasketlab.errors import InterlacingViolation
@@ -255,6 +257,14 @@ def test_import_cli_loads_no_numpy():
     code = "import sys, gasketlab.cli; sys.exit('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_all_names_every_submodule():
+    # each name in __all__ resolves on first use (PEP 562)
+    names = sorted(m.name for m in pkgutil.iter_modules(gasketlab.__path__))
+    assert sorted(gasketlab.__all__) == names
+    for name in names:
+        assert getattr(gasketlab, name).__name__ == f"gasketlab.{name}"
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--threads=2"], ["--thr", "2"]])

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import legacy
 from conftest import random_triple
-from gasketlab import forms, gasket, geom
+from gasketlab import forms, gasket, geom, spectra
 from gasketlab.errors import HalfPlanePresent
 
 SQRT3 = math.sqrt(3.0)
 
 
 def test_cell_conductances_unit(unit_triple):
-    c = forms.cell_conductances(unit_triple)
+    c = forms._conductances(np.array(unit_triple.quad))
     for cj in c:
         assert abs(cj - 2 / SQRT3) < 1e-14
 
@@ -21,26 +22,42 @@ def test_cell_conductances_lower_bound(rng):
     # (k^2 + a^2) / (2ka) >= 1 with equality iff a = k
     for _ in range(100):
         t = random_triple(rng)
-        for cj in forms.cell_conductances(t):
+        for cj in forms._conductances(np.array(t.quad)):
             assert cj >= 1.0 - 1e-14
     # build an equality case: beta = gamma = alpha (sqrt(2) - 1) makes kappa = alpha
     a = 1.7
     b = a * (math.sqrt(2.0) - 1.0)
     t = geom.triple_from_curvatures(a, b, b)
     assert abs(t.kappa - a) < 1e-12
-    assert abs(forms.cell_conductances(t)[0] - 1.0) < 1e-12
+    assert abs(forms._conductances(np.array(t.quad))[0] - 1.0) < 1e-12
 
 
 def test_cell_conductances_scale_free(rng):
     t = random_triple(rng)
     t2 = geom.transform_triple(t, scale=3.7)
-    for c1, c2 in zip(forms.cell_conductances(t), forms.cell_conductances(t2)):
+    for c1, c2 in zip(*(forms._conductances(np.array(s.quad)) for s in (t, t2))):
         assert abs(c1 - c2) < 1e-12 * c1
 
 
-def test_cell_conductances_halfplane_rejected():
+def test_assemblers_reject_halfplane():
+    th = geom.triple_with_halfplane(1.0, 1.0)
+    for assemble in (forms.assemble_trace_form, forms.assemble_mass_trace):
+        with pytest.raises(HalfPlanePresent):
+            assemble(th, 1)
     with pytest.raises(HalfPlanePresent):
-        forms.cell_conductances(geom.triple_with_halfplane(1.0, 1.0))
+        forms.assemble_arc_fem(th, 1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, cx: forms.assemble_trace_form(t, -1, cx),
+    lambda t, cx: forms.assemble_mass_trace(t, -1, cx),
+    lambda t, cx: spectra.evp_from_trace(t, -1, cx=cx),
+], ids=["trace", "mass", "evp"])
+def test_negative_depth_rejected_with_complex(unit_triple, call):
+    # build_complex refuses a negative depth; a supplied complex skips that
+    # build, so the assemblers check the depth themselves
+    with pytest.raises(ValueError, match="nonnegative"):
+        call(unit_triple, gasket.build_complex(unit_triple, 2))
 
 
 def test_energy_identity_hand_value(unit_triple):
@@ -81,7 +98,7 @@ def test_trace_compatibility(unit_triple, rng):
         for _ in range(5):
             u = rng.standard_normal(nm)
             e_m = tf_m.energy(u)
-            e_min = forms.constrained_minimum_energy(tf_m1, np.arange(nm), u)
+            e_min = legacy.constrained_minimum_energy(tf_m1, np.arange(nm), u)
             assert abs(e_m - e_min) <= 1e-9 * abs(e_m)
 
 
@@ -340,8 +357,15 @@ def test_sector_check_constant():
     assert rep.sector_l2[rep.mean] == pytest.approx(0.7**2 * 2.0**2 * 1.0 / 2.0, rel=1e-6)
 
 
+def sample_arc(center, radius, theta0, theta1, fn, n):
+    """``fn`` of the plane point z = center + radius*e^{i theta} at n equal angles."""
+    th = np.linspace(theta0, theta1, n)
+    vals = fn(center[0] + radius * np.cos(th), center[1] + radius * np.sin(th))
+    return forms.ArcSegmentFunction(center, radius, theta0, theta1, tuple(vals.tolist()))
+
+
 def test_sector_check_sine_quarter_circle():
-    f = forms.sample_arc_function((0.0, 0.0), 1.0, 0.0, math.pi / 2, lambda x, y: y, n=128)
+    f = sample_arc((0.0, 0.0), 1.0, 0.0, math.pi / 2, lambda x, y: y, n=128)
     rep = forms.sector_extension_check(f, a=rep_mean(f))
     assert rep.w12_ok and all(rep.l2_ok.values())
     # oracle: closed forms for u = sin(theta) on [0, pi/2]
@@ -358,7 +382,7 @@ def rep_mean(f):
 
 def test_sector_check_sector_integral_oracle():
     # closed form: gradient sector integral = (1/2) integral ((u-a)^2 + u'^2)
-    f = forms.sample_arc_function((1.0, -2.0), 3.0, 0.3, 2.1, lambda x, y: x, n=256)
+    f = sample_arc((1.0, -2.0), 3.0, 0.3, 2.1, lambda x, y: x, n=256)
     a = rep_mean(f)
     rep = forms.sector_extension_check(f, a=a)
     th = np.linspace(0.3, 2.1, 20001)
