@@ -109,13 +109,20 @@ class TraceForm(Network):
     depth: int
 
 
+def complex_for(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> GasketComplex:
+    """``cx`` if it reaches depth m, else a new complex of ``t`` at depth m;
+    ``ValueError`` if ``cx`` was built for another triple."""
+    if cx is not None and cx.root != t:
+        raise ValueError("the complex was built for another triple")
+    return cx if cx is not None and cx.depth >= m else build_complex(t, m)
+
+
 def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> TraceForm:
     if not t.is_bounded:
         raise HalfPlanePresent("trace form needs three bounded disks")
     if m < 0:
         raise ValueError("depth must be nonnegative")
-    if cx is None or cx.depth < m:
-        cx = build_complex(t, m)
+    cx = complex_for(t, m, cx)
     cond = _conductances(cx.quads[m]).ravel()
     vids = cx.vertex_ids[m]
     # edge j of a cell joins q_{j+1} and q_{j+2}; each depth-m edge lies on
@@ -169,8 +176,7 @@ def assemble_mass_trace(
         raise HalfPlanePresent("trace mass needs three bounded disks")
     if m < 0:
         raise ValueError("depth must be nonnegative")
-    if cx is None or cx.depth < m:
-        cx = build_complex(t, m)
+    cx = complex_for(t, m, cx)
     area, lens = _cell_shape(cx.quads[m])
     # the weight each scheme puts on either end of each cell boundary arc
     if scheme == "mu":
@@ -287,8 +293,7 @@ def assemble_arc_fem(
         raise HalfPlanePresent("arc network needs three bounded disks")
     if m < 0 or refine < 1:
         raise ValueError("need depth >= 0 and refine >= 1")
-    if cx is None or cx.depth < m:
-        cx = build_complex(t, m)
+    cx = complex_for(t, m, cx)
     n_vm = cx.num_vertices_at(m)
     c, v_a, v_b, th_a, sweep = _arc_pieces(cx, m)
 

@@ -227,6 +227,9 @@ class GasketComplex:
         return out.reshape(-1, 3)[rows.start - 3 * lo:rows.stop - 3 * lo]
 
     def num_vertices_at(self, m: int) -> int:
+        """|V_m|, with m capped at the depth; ``ValueError`` for m < 0."""
+        if m < 0:
+            raise ValueError(f"depth must be nonnegative, got {m}")
         return 3 + 3 * _cells_above(min(m, self.depth))
 
 

@@ -8,20 +8,22 @@ Smaller requests go through shift-invert Lanczos spectrum slices, whose
 bounds are placed by count-guided splits on sparse Sylvester inertia counts
 of K - sigma M; the same counts certify each slice complete at every size.
 
-Both paths run on the symmetry blocks of the pencil.  A pencil with a mirror
-(an isosceles triple) splits into its even and odd vectors, two blocks of
-about n/2.  One with a mirror and an order-3 rotation (the equilateral
-triple, such as the classical gasket, under a rotation-invariant Dirichlet
-set) splits by the irreducible representations of D3: A1 and A2 of about
-n/6 each and E of about n/3, whose eigenvalues are those of the pencil
-twice over, so E is solved once and reported twice.  Inertia adds over the
-blocks, so the sliced path places one bound on the summed counts and then
-slices each block below it.  Only eigenvalues are reported, with a residual
-certificate against the original K and mass taken in column blocks, each
-mapped back through its block's basis only when its turn comes, and on the
-sliced path slice by slice; no eigenvector is returned, and neither path
-holds an n x k array of them.  The dense path solves the largest block
-first, while no other block's eigenvectors are held.
+Both paths run on the symmetry blocks of the pencil.  A pencil with no
+symmetry is the trivial group's one block, whose basis is the identity.
+One with a mirror (an isosceles triple) splits into its even and odd
+vectors, two blocks of about n/2.  One with a mirror and an order-3
+rotation (the equilateral triple, such as the classical gasket, under a
+rotation-invariant Dirichlet set) splits by the irreducible representations
+of D3: A1 and A2 of about n/6 each and E of about n/3, whose eigenvalues
+are those of the pencil twice over, so E is solved once and reported
+twice.  Inertia adds over the blocks, so the sliced path places one bound
+on the summed counts and then slices each block below it.  Only eigenvalues
+are reported, with a residual certificate against the original K and mass
+taken in column blocks, each mapped back through its block's basis only
+when its turn comes, and on the sliced path slice by slice; no eigenvector
+is returned, and neither path holds an n x k array of them.  The dense path
+solves the largest block first, while no other block's eigenvectors are
+held.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     InterlacingViolation,
     NotConverged,
 )
-from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form
+from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form, complex_for
 from .gasket import build_complex, index_set_I, word_index
 from .geom import DiskTriple, transform_triple
 
@@ -154,8 +156,7 @@ class GeneralizedEVP:
 
 def evp_from_trace(t: DiskTriple, m: int, dirichlet="v0", mass_scheme="mu", cx=None):
     """Trace pencil on V_m, with the triple's mirror and rotation (``_mirror``)."""
-    if cx is None or cx.depth < m:
-        cx = build_complex(t, m)
+    cx = complex_for(t, m, cx)
     form = assemble_trace_form(t, m, cx)
     mass = assemble_mass_trace(t, m, cx, scheme=mass_scheme)
     K, boundary = form.stiffness(), _resolve_boundary(dirichlet)
@@ -172,8 +173,7 @@ def evp_from_trace(t: DiskTriple, m: int, dirichlet="v0", mass_scheme="mu", cx=N
 
 def evp_from_arc_fem(t: DiskTriple, m: int, refine: int, dirichlet="v0", cx=None):
     """Arc FEM pencil, with the triple's mirror and rotation (``_mirror``)."""
-    if cx is None or cx.depth < m:
-        cx = build_complex(t, m)
+    cx = complex_for(t, m, cx)
     net = assemble_arc_fem(t, m, refine, cx)
     K, mass = net.stiffness(), net.mass_vector().values
     boundary = _resolve_boundary(dirichlet)
@@ -307,21 +307,21 @@ def _gershgorin_upper(A: sp.csr_matrix) -> float:
     return float(absA.sum(axis=1).max())
 
 
-def _residual_max(K, d, lams, Y, Q=None):
+def _residual_max(K, d, lams, Y, Q):
     """max over pairs of ||K v - lam M v|| / ||v|| with v = D^{-1/2} Q y.
 
-    ``Q`` is the block's basis onto the free vertices (None: the identity).
-    Dense solves pass each block's kept columns and each of its bases,
-    sliced ones one slice's kept columns at a time.  The columns are taken
-    in ceil(k / RESIDUAL_BLOCK) near-equal blocks, each mapped through Q
-    only when its turn comes, so no n x k array is formed: V is scaled and
-    R = K V reduced in place, and about three n x ``RESIDUAL_BLOCK`` arrays
-    are live at once (scaling into a copy raised the benchmark's peak RSS).  Each column keeps the bits it has in one n x k block:
-    numpy sums a lone or F-order column's norm pairwise, but a column inside
-    a C-order block of two or more sequentially.  R is C-order, and so is
-    V = Q Y; without a basis V is a slice of Y, which is F-order from
-    LAPACK.  So no block is a single column unless k = 1, and a sliced lone
-    pair of k > 1 is passed twice over.
+    ``Q`` is the block's basis onto the free vertices.  Dense solves pass
+    each block's kept columns and each of its bases, sliced ones one slice's
+    kept columns at a time.  The columns are taken in ceil(k /
+    RESIDUAL_BLOCK) near-equal blocks, each mapped through Q only when its
+    turn comes, so no n x k array is formed: V is scaled and R = K V reduced
+    in place, and about three n x ``RESIDUAL_BLOCK`` arrays are live at once
+    (scaling into a copy raised the benchmark's peak RSS).  Each column
+    keeps the bits it has in the one C-order n x k block Q Y: numpy sums a
+    lone column's norm pairwise, but a column inside a C-order block of two
+    or more sequentially, and R and V = Q Y are C-order.  So no block is a
+    single column unless k = 1, and a sliced lone pair of k > 1 is passed
+    twice over.
     """
     k = len(lams)
     if k == 0:
@@ -330,11 +330,8 @@ def _residual_max(K, d, lams, Y, Q=None):
     edges = [k * i // n_blocks for i in range(n_blocks + 1)]
     s, worst = 1.0 / np.sqrt(d), 0.0
     for a, b in zip(edges, edges[1:]):
-        if Q is None:
-            V = Y[:, a:b] * s[:, None]
-        else:
-            V = Q @ Y[:, a:b]
-            V *= s[:, None]
+        V = Q @ Y[:, a:b]
+        V *= s[:, None]
         R = K @ V
         T = d[:, None] * V
         T *= lams[None, a:b]
@@ -388,7 +385,8 @@ def solve(
     sparse inertia counts.
 
     The blocks are Q^T A Q for the orthonormal bases Q of
-    ``_symmetry_bases``: A itself without a mirror; the even and odd blocks
+    ``_symmetry_bases``: A itself, on the identity basis, without a mirror
+    (the trivial group's one block); the even and odd blocks
     with a mirror alone; A1, A2 and E with a mirror and a rotation, E with a
     second basis Q_E' onto the odd E vectors that gives the same block, so E
     is solved once and each of its eigenvalues is reported twice, with equal
@@ -405,18 +403,21 @@ def solve(
     certificate; neither path forms an n x k array of mapped vectors.
     Inertia adds over an orthogonal split, so the counts of the sliced path
     certify the whole pencil.  ``meta["blocks"]`` lists the
-    block sizes, E twice, summing to n (``[n]`` without a split), and
+    block sizes, E twice, summing to n (``[n]`` without a mirror), and
     ``meta["symmetry"]`` the group: ``"none"``, ``"mirror"`` or ``"D3"``.
 
     Either way ``meta["inertia_verified"]`` is True and
     ``meta["residual_max"]`` certifies every reported pair: exactly the k
-    reported pairs on the dense path and without a split, and on a split
-    sliced solve also the few pairs between the k-th eigenvalue and the
-    shared bound.  The sliced path also records its slices under
-    ``meta["slices"]``.
+    reported pairs on the dense path, and on the sliced path also the few
+    pairs between the k-th eigenvalue and the shared bound.  The sliced
+    path also records its slices under ``meta["slices"]``.  ``how_many``
+    must be a nonnegative Python or numpy integer; ``ValueError`` otherwise.
     """
-    if how_many is not None and how_many < 0:
-        raise ValueError(f"how_many must be non-negative, got {how_many}")
+    if how_many is not None:
+        if isinstance(how_many, bool) or not isinstance(how_many, (int, np.integer)):
+            raise ValueError(f"how_many must be an integer, got {how_many!r}")
+        if how_many < 0:
+            raise ValueError(f"how_many must be non-negative, got {how_many}")
     free, K, d, A = _free_pencil(evp, allow_disconnected)
     n = len(free)
     k = n if how_many is None else min(int(how_many), n)
@@ -425,7 +426,7 @@ def solve(
 
     meta = dict(evp.meta)
     meta.update({"boundary": tuple(evp.boundary), "n_free": n,
-                 "blocks": [n if Q is None else Q.shape[1] for copies in bases for Q in copies],
+                 "blocks": [Q.shape[1] for copies in bases for Q in copies],
                  "symmetry": "none" if evp.mirror is None
                  else "mirror" if evp.rotation is None else "D3"})
     meta["method"] = "dense" if k == n or k >= DENSE_KN2 * n * n else "lanczos-shift-invert"
@@ -433,8 +434,8 @@ def solve(
     if k == 0:  # nothing asked: no factorization on either path
         lams, res = np.empty(0), 0.0
     else:
-        blocks = [(A if copies[0] is None else _project(A, copies[0]), copies)
-                  for copies in bases]
+        blocks = [(_project(A, copies[0]), copies) for copies in bases]
+        del A  # the trivial group's block is a copy of A: hold one, not both
         if meta["method"] == "dense":
             lams, res = _dense(blocks, K, d, k)
         else:
@@ -458,7 +459,8 @@ def solve(
 
 def _symmetry_bases(evp: GeneralizedEVP, free) -> list[list]:
     """Sparse orthonormal bases (n_free, b) of the symmetry blocks, one list
-    per block to solve: ``[[None]]`` (the identity) without a mirror.
+    per block to solve: the trivial group's one block, ``[[identity]]``,
+    without a mirror.
 
     With a mirror s alone the group is {1, s}, with a rotation r as well
     D3 = {1, r, r^2, s, sr, sr^2}.  Each free vertex x has the orbit
@@ -485,7 +487,7 @@ def _symmetry_bases(evp: GeneralizedEVP, free) -> list[list]:
     """
     n = len(free)
     if evp.mirror is None or n == 0:
-        return [[None]]
+        return [[sp.identity(n, format="dia")]]  # DIA: 8 bytes a row to CSR's 16
     at = np.empty(evp.n_total, dtype=int)
     at[free] = np.arange(n)
     ids, s = np.arange(n), at[evp.mirror[free]]  # the group on free positions
@@ -637,14 +639,14 @@ def _sliced_lanczos(blocks, K, d, k: int, top: float, seed: int):
     """Shift-invert ARPACK slices covering the k lowest eigenvalues.
 
     ``blocks`` holds (B, bases) per block, each eigenvalue of B reported
-    once per basis.  One block is sliced for k + 1 eigenvalues and keeps
-    the k lowest.  Several share one bound first: ``_bound`` places it on
-    the counts summed over the blocks, each weighted by its number of
-    bases, for target k + 1, and a count that any block refuses moves the
-    shared shift.  Each block is then sliced for its own count below that
-    bound, starting from the shifts counted for it on the way, and keeps
-    all of them; the merged eigenvalues, with multiplicity, hold the k
-    lowest of the pencil.  ARPACK returns at most n_b - 1 pairs of a block
+    once per basis; an asymmetric pencil is one block on the identity.
+    The blocks share one bound first: ``_bound`` places it on the counts
+    summed over the blocks, each weighted by its number of bases, for
+    target k + 1, and a count that any block refuses moves the shared
+    shift.  Each block is then sliced for its own count below that bound,
+    starting from the shifts counted for it on the way, and keeps all of
+    them; the merged eigenvalues, with multiplicity, hold the k lowest of
+    the pencil.  ARPACK returns at most n_b - 1 pairs of a block
     of size n_b, so a slice that must hold that many has no room for its
     pad and may never match its count: a block whose count reaches n_b - 1
     is solved whole by ``_dense`` and certified there, and is recorded as
@@ -655,68 +657,60 @@ def _sliced_lanczos(blocks, K, d, k: int, top: float, seed: int):
     all blocks (``_slice_block``).
     """
     lo, top_moves = -1e-12 * top, []
-    if len(blocks) == 1:
-        B = blocks[0][0]
-        counted = [[(lo, 0, []), (*_clear_count(lambda x: count_below(B, x), top, top_moves),
-                                  top_moves)]]
-        totals, keeps = [k + 1], [k]
-    else:
-        counts = {}  # each block's count at each shared shift
+    counts = {}  # each block's count at each shared shift
 
-        def summed(x):
-            counts[x] = [count_below(B, x) for B, _ in blocks]
-            return sum(len(bases) * c for (_, bases), c in zip(blocks, counts[x]))
+    def summed(x):
+        counts[x] = [count_below(B, x) for B, _ in blocks]
+        return sum(len(bases) * c for (_, bases), c in zip(blocks, counts[x]))
 
-        shared = [(lo, 0, []), (*_clear_count(summed, top, top_moves), top_moves)]
-        bound = _bound(summed, shared, k + 1, _steps(k + 1)[1])[0]
-        counted = [[(lo, 0, [])] + [(x, counts[x][b], list(moves)) for x, _, moves in shared[1:]
-                                    if x <= bound] for b in range(len(blocks))]
-        totals = keeps = counts[bound]
+    shared = [(lo, 0, []), (*_clear_count(summed, top, top_moves), top_moves)]
+    bound = _bound(summed, shared, k + 1, _steps(k + 1)[1])[0]
+    counted = [[(lo, 0, [])] + [(x, counts[x][b], list(moves)) for x, _, moves in shared[1:]
+                                if x <= bound] for b in range(len(blocks))]
     rng = np.random.default_rng(seed)
     slices, found, res = [], [], 0.0
     first = np.cumsum([0] + [len(bases) for _, bases in blocks])  # in meta["blocks"]
-    for (B, bases), counted_b, total, keep, b in zip(blocks, counted, totals, keeps, first):
-        if keep == 0:
+    for (B, bases), counted_b, total, b in zip(blocks, counted, counts[bound], first):
+        if total == 0:
             continue
         if total >= B.shape[0] - 1:  # see above: solve the block whole
             (lo, _, _), (hi, count, moves) = counted_b[0], counted_b[-1]
             slices.append(dict(block=int(b), copies=len(bases), lo=lo, hi=hi, count=count,
                                k_requested=B.shape[0], attempts=1, moves=moves))
-            lam_b, res_b = _dense([(B, bases)], K, d, keep * len(bases))
+            lam_b, res_b = _dense([(B, bases)], K, d, total * len(bases))
             found.append(lam_b)
             res = max(res, res_b)
             continue
         v0 = np.ones(B.shape[0]) + 0.01 * rng.standard_normal(B.shape[0])
-        res = max(res, _slice_block(B, bases, K, d, keep, total, counted_b, v0, found,
-                                    slices, int(b)))
+        res = max(res, _slice_block(B, bases, K, d, total, counted_b, v0, found, slices, int(b)))
     return np.sort(np.concatenate(found))[:k], res, slices
 
 
-def _slice_block(B, bases, K, d, k: int, total: int, counted: list, v0, found: list,
-                 slices: list, block: int) -> float:
-    """Slice block B for ``total`` eigenvalues and keep its k lowest.
+def _slice_block(B, bases, K, d, total: int, counted: list, v0, found: list, slices: list,
+                 block: int) -> float:
+    """Slice block B for its lowest ``total`` eigenvalues.
 
     With S = ceil(total / SLICE_SIZE) slices the targets are
     i * ceil(total / S) and, last, ``total``.  For each target the loop
     places the slice's upper bound (``_bound`` on ``counted``, which starts
     with the lowest bound and its count of 0), solves the slice and moves
-    on, until a count reaches k.  Every bound is a counted shift, so a
-    slice holds exactly the eigenvalues its two counts promise.  A bound
+    on, until a count reaches ``total``.  Every bound is a counted shift, so
+    a slice holds exactly the eigenvalues its two counts promise.  A bound
     within ``BOUND_CLUSTER_RTOL`` of a computed eigenvalue is moved up.  Each
-    slice certifies the pairs it keeps (the lowest, up to k) through each
-    basis and drops its vectors; their eigenvalues go to ``found``, once
-    per basis.  Appends per slice to ``slices`` its block (its first index
-    in ``meta["blocks"]``), number of bases (``copies``), bounds, count,
-    last ``k`` requested, attempts and moves of ``hi``, and returns the
-    worst residual.
+    slice certifies the pairs it keeps (the lowest, up to ``total``) through
+    each basis and drops its vectors; their eigenvalues go to ``found``,
+    once per basis.  Appends per slice to ``slices`` its block (its first
+    index in ``meta["blocks"]``), number of bases (``copies``), bounds,
+    count, last ``k`` requested, attempts and moves of ``hi``, and returns
+    the worst residual.
 
-    A block of a split spans several times the range of lambda per slice
-    that the whole pencil would, and shift-invert Lanczos finds
-    lambda = sigma + 1/theta only to about eps |theta_max| (lambda - sigma)^2,
-    which at the bottom of a wide first slice reached 2.5e-10 relative
-    (lambda_1 of trace m=7 on the unit triple).  So a split block reports
-    the Rayleigh quotients y^T B y / y^T y of its vectors, whose error is
-    second order in theirs; the unsplit pencil keeps ARPACK's values.
+    Shift-invert Lanczos finds lambda = sigma + 1/theta only to about
+    eps |theta_max| (lambda - sigma)^2, which at the bottom of a wide first
+    slice reached 2.5e-10 relative (lambda_1 of trace m=7 on the unit
+    triple, whose blocks span several times the range of lambda per slice
+    that the whole pencil would).  So every block reports the Rayleigh
+    quotients y^T B y / y^T y of its vectors, whose error is second order
+    in theirs.
     """
     n = B.shape[0]
     n_slices, step = _steps(total)
@@ -750,19 +744,16 @@ def _slice_block(B, bases, K, d, k: int, total: int, counted: list, v0, found: l
         else:
             raise NotConverged(f"slice [{lo:.3e}, {hi:.3e}) kept missing eigenvalues",
                                partial=np.sort(np.concatenate([np.empty(0), *found])))
-        # the slices before hold exactly c_lo pairs: keep the lowest k - c_lo of this one
-        kept = np.flatnonzero(sel)[np.argsort(lam_i[sel])[: k - c_lo]]
-        lam_k = lam_i[kept]
-        if bases[0] is not None:  # a split block: Rayleigh quotients (see above)
-            Y = y_i[:, kept]
-            lam_k = np.einsum("ij,ij->j", Y, B @ Y) / np.einsum("ij,ij->j", Y, Y)
+        # the slices before hold exactly c_lo pairs: keep the lowest total - c_lo of this one
+        kept = np.flatnonzero(sel)[np.argsort(lam_i[sel])[: total - c_lo]]
+        Y = y_i[:, kept]  # Rayleigh quotients (see above)
+        lam_k = np.einsum("ij,ij->j", Y, B @ Y) / np.einsum("ij,ij->j", Y, Y)
         found.append(np.repeat(lam_k, len(bases)))
-        if len(kept) == 1 < k:  # a lone pair of k > 1 goes twice (see _residual_max)
-            kept, lam_k = np.repeat(kept, 2), np.repeat(lam_k, 2)
-        Y = y_i[:, kept]
+        if len(kept) == 1 < total:  # a lone pair of total > 1 goes twice (see _residual_max)
+            Y, lam_k = Y[:, [0, 0]], np.repeat(lam_k, 2)
         for Q in bases:
             res = max(res, _residual_max(K, d, lam_k, Y, Q))
-        if c_hi >= k:
+        if c_hi >= total:
             break
     return res
 

@@ -60,6 +60,21 @@ def test_negative_depth_rejected_with_complex(unit_triple, call):
         call(unit_triple, gasket.build_complex(unit_triple, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, cx: forms.assemble_trace_form(t, 4, cx),
+    lambda t, cx: forms.assemble_mass_trace(t, 4, cx, scheme="mu"),
+    lambda t, cx: forms.assemble_arc_fem(t, 4, 2, cx),
+    lambda t, cx: spectra.evp_from_trace(t, 4, cx=cx),
+    lambda t, cx: spectra.evp_from_arc_fem(t, 4, 2, cx=cx),
+], ids=["trace", "mass", "arc", "evp-trace", "evp-arc"])
+def test_complex_of_another_triple_rejected(unit_triple, call):
+    # a complex of the unit triple would give the unit pencil, labelled 1,2,3
+    t123 = geom.triple_from_curvatures(1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="another triple"):
+        call(t123, gasket.build_complex(unit_triple, 4))
+    call(t123, gasket.build_complex(t123, 4))
+
+
 def test_energy_identity_hand_value(unit_triple):
     # at depth 0: three edges of conductance 2/sqrt(3), tangency triangle side 1
     tf = forms.assemble_trace_form(unit_triple, 0)

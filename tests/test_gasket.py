@@ -253,6 +253,11 @@ def test_vertex_counts(unit_triple):
     assert pdist(cx.points).min() > 2e-9 * geom.circumscribed_disk(cx.root).radius
 
 
+def test_vertex_count_rejects_negative_depth(unit_triple):
+    with pytest.raises(ValueError, match="nonnegative"):
+        gasket.build_complex(unit_triple, 2).num_vertices_at(-1)
+
+
 def test_vertices_level_one_are_inscribed_tangencies(unit_triple):
     cx = gasket.build_complex(unit_triple, 1)
     din = geom.inscribed_disk(unit_triple)

@@ -459,7 +459,7 @@ def test_d3_certificate_covers_both_e_copies(unit_triple, monkeypatch):
     evp = spectra.evp_from_trace(unit_triple, 5)
     residual_max, widths = spectra._residual_max, []
 
-    def spy(K, d, lams, Y, Q=None):
+    def spy(K, d, lams, Y, Q):
         widths.append(Y.shape[1])
         return residual_max(K, d, lams, Y, Q)
 
@@ -487,7 +487,7 @@ def test_sliced_block_whose_count_reaches_its_size(unit_triple, monkeypatch, k):
     monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     residual_max, widths = spectra._residual_max, []
 
-    def spy(K, d, lams, Y, Q=None):
+    def spy(K, d, lams, Y, Q):
         widths.append(Y.shape[1])
         return residual_max(K, d, lams, Y, Q)
 
@@ -574,89 +574,72 @@ def _residual_max_one_block(K, d, lams, Y, s):
     return float(np.max(_residual_columns(K, d, lams, Y, s))) if len(lams) else 0.0
 
 
-# F: dense eigh, and one slice's kept columns (gathered from eigsh's output);
-# C: a C-order block, whose columns numpy sums sequentially
-@pytest.mark.parametrize("layout", ["F", "C"])
-def test_blocked_residual_is_bit_identical(unit_triple, layout):
-    evp = spectra.evp_from_trace(unit_triple, 5)
-    _, K, d, A = spectra._free_pencil(evp, False)
-    s = 1.0 / np.sqrt(d)
-    as_layout = np.asfortranarray if layout == "F" else np.ascontiguousarray
-    lams, Y = np.linalg.eigh(A.toarray())
-    Y = as_layout(Y)
-    for k in (0, 1, 127, 128, 129, 300):
-        oracle = _residual_max_one_block(K, d, lams[:k], Y[:, :k], s)
-        assert spectra._residual_max(K, d, lams[:k], Y[:, :k]) == oracle, k
-    # numpy sums the norm of a lone column pairwise, so a one-column tail
-    # block would change bits: make such a column the worst of 129, and last
-    in_block = _residual_columns(K, d, lams, Y, s)
-    alone = np.array([_residual_columns(K, d, lams[j : j + 1], Y[:, j : j + 1], s)[0]
-                      for j in range(len(lams))])
-    moved = np.flatnonzero(in_block != alone)
-    worst = moved[np.argmax(in_block[moved])]
-    order = np.r_[np.flatnonzero(in_block < in_block[worst])[:128], worst]
-    Y_w = as_layout(Y[:, order])
-    oracle = _residual_max_one_block(K, d, lams[order], Y_w, s)
-    assert oracle == in_block[worst] != alone[worst]
-    assert spectra._residual_max(K, d, lams[order], Y_w) == oracle
-
-
-@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (2.0, 1.0, 2.0)], ids=["D3", "mirror"])
+@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 3.0)],
+                         ids=["D3", "mirror", "none"])
 def test_streamed_certificate_has_one_block_bits(curvatures):
-    # with a basis, _residual_max maps one column block at a time through Q;
+    # _residual_max maps one column block at a time through the basis Q;
     # each column must keep the bits it has in the one C-order n x k block
-    # Q @ Y, for every basis of the split (E and its odd partner included)
+    # Q @ Y, for every basis: E and its odd partner included, and the
+    # identity of the trivial group's one block
     evp = spectra.evp_from_trace(geom.triple_from_curvatures(*curvatures), 6)
     free, K, d, A = spectra._free_pencil(evp, False)
     s = 1.0 / np.sqrt(d)
     bases = spectra._symmetry_bases(evp, free)
-    assert len(bases) == (3 if evp.rotation is not None else 2)
+    assert len(bases) == (1 if evp.mirror is None else 2 if evp.rotation is None else 3)
     for copies in bases:
         lams, Y = sla.eigh(spectra._project(A, copies[0]).toarray(order="F"), driver="evd")
         for Q in copies:
-            for k in (1, 127, 128, 129, 300):
+            for k in (0, 1, 127, 128, 129, 300):
                 if k > len(lams):
                     continue
                 oracle = _residual_max_one_block(K, d, lams[:k], Q @ Y[:, :k], s)
                 assert spectra._residual_max(K, d, lams[:k], Y[:, :k], Q) == oracle, k
-    # a sliced lone pair goes twice, so it keeps its in-block bits (E' on D3)
+    # numpy sums the norm of a lone column pairwise, so a one-column tail
+    # block would change bits: make such a column the worst of 129, and
+    # last (of E' on D3, the odd block on the mirror, the identity on none)
     in_block = _residual_columns(K, d, lams, Q @ Y, s)
     alone = np.array([_residual_columns(K, d, lams[j : j + 1], Q @ Y[:, j : j + 1], s)[0]
                       for j in range(len(lams))])
     moved = np.flatnonzero(in_block != alone)
     j = moved[np.argmax(in_block[moved])]
+    order = np.r_[np.flatnonzero(in_block < in_block[j])[:128], j]
+    assert len(order) == 129
+    oracle = _residual_max_one_block(K, d, lams[order], Q @ Y[:, order], s)
+    assert oracle == in_block[j] != alone[j]
+    assert spectra._residual_max(K, d, lams[order], Y[:, order], Q) == oracle
+    # a sliced lone pair goes twice, so it keeps its in-block bits
     twice = spectra._residual_max(K, d, lams[[j, j]], Y[:, [j, j]], Q)
     assert twice == in_block[j] != alone[j]
 
 
-def test_slice_certificates_have_one_block_bits(unit_triple, monkeypatch):
+def test_slice_certificates_have_one_block_bits(monkeypatch):
     # each slice certifies only the pairs it keeps and drops them; the
-    # certificates must carry the bits of one n x k block over all k pairs.
-    # Six free trace m=4 blocks in slices of 4 cut the last slice down to
-    # one kept pair at k = 49 (with numpy 2.4 its lone norm changes bits)
-    block = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
-    evp = spectra.GeneralizedEVP(
-        sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
-    )
+    # certificates must carry the bits of one C-order n x (k + 1) block over
+    # all of them.  Trace m=5 of 1,2,3 in slices of 4 places the shared
+    # bound at count k + 1 = 49 and cuts the last slice down to one kept
+    # pair, whose lone norm changes bits (with numpy 2.4)
+    evp = spectra.evp_from_trace(geom.triple_from_curvatures(1.0, 2.0, 3.0), 5)
     monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
     monkeypatch.setattr(spectra, "SLICE_SIZE", 4)
     residual_max, certified = spectra._residual_max, []
 
-    def spy(K, d, lams, Y, Q=None):
-        certified.append((lams, Y, residual_max(K, d, lams, Y, Q)))
+    def spy(K, d, lams, Y, Q):
+        certified.append((lams, Q @ Y, residual_max(K, d, lams, Y, Q)))
         return certified[-1][2]
 
     monkeypatch.setattr(spectra, "_residual_max", spy)
-    k = 49
-    spec = spectra.solve(evp, how_many=k, allow_disconnected=True)
-    assert sum(sl["count"] for sl in spec.meta["slices"][:-1]) == k - 1
-    lone_lams, lone_Y, worst = certified[-1]
-    certified[-1] = (lone_lams[:1], lone_Y[:, :1], worst)  # its one pair, once
+    k = 48
+    spec = spectra.solve(evp, how_many=k)
+    assert [sl["count"] for sl in spec.meta["slices"]] == [4] * 12 + [1]
+    lone_lams, lone_V, worst = certified[-1]
+    certified[-1] = (lone_lams[:1], lone_V[:, :1], worst)  # its one pair, once
     lams = np.concatenate([c[0] for c in certified])
-    assert len(lams) == k and np.all(np.diff(lams) >= 0.0)
-    _, K, d, _ = spectra._free_pencil(evp, True)
-    Y = np.asfortranarray(np.hstack([c[1] for c in certified]))
-    in_block = _residual_columns(K, d, lams, Y, 1.0 / np.sqrt(d))
+    assert len(lams) == k + 1 and np.all(np.diff(lams) >= 0.0)
+    _, K, d, _ = spectra._free_pencil(evp, False)
+    s = 1.0 / np.sqrt(d)
+    V = np.hstack([c[1] for c in certified])
+    in_block = _residual_columns(K, d, lams, V, s)
+    assert in_block[-1] != _residual_columns(K, d, lams[-1:], V[:, -1:], s)[0]
     edges = np.cumsum([0] + [len(c[0]) for c in certified])
     assert [c[2] for c in certified] == [in_block[a:b].max() for a, b in zip(edges, edges[1:])]
     assert spec.meta["residual_max"] == in_block.max()
@@ -687,8 +670,8 @@ def test_dense_split_solve_holds_no_n_by_k_array(unit_triple, monkeypatch):
     evp = spectra.evp_from_trace(unit_triple, 6)
     residual_max, own = spectra._residual_max, []
 
-    def spy(K, d, lams, Y, Q=None):
-        own.append(Q is not None and Y.shape[0] == Q.shape[1])
+    def spy(K, d, lams, Y, Q):
+        own.append(Y.shape[0] == Q.shape[1])
         return residual_max(K, d, lams, Y, Q)
 
     monkeypatch.setattr(spectra, "_residual_max", spy)
@@ -801,30 +784,29 @@ def test_sliced_zero_cluster_of_disconnected_pencil(unit_triple, monkeypatch, k)
 
 
 def test_slice_loop_places_no_bound_past_k(unit_triple, monkeypatch):
-    # with SLICE_SIZE 2 and k = 4 the targets are 2, 4 and 5, but the first
-    # slice keeps the whole zero cluster of count 6 >= k, so the loop stops
-    # there and bisects toward no later target: as many counts as one slice
+    # k = 4: the shared bound aims at k + 1 = 5 and lands on the whole zero
+    # cluster, count 6.  With SLICE_SIZE 2 the block's targets are then 2, 4
+    # and 6, but the first slice keeps the cluster, so the loop stops there
+    # and places no bound toward a later target
     block = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
     evp = spectra.GeneralizedEVP(
         sp.block_diag([block.stiffness] * 6).tocsr(), np.concatenate([block.mass] * 6), ()
     )
     monkeypatch.setattr(spectra, "DENSE_KN2", 1.0)
-    count_below, calls = spectra.count_below, []
+    bound, targets = spectra._bound, []
 
-    def counting(A, sigma):
-        calls.append(sigma)
-        return count_below(A, sigma)
+    def spy(count, counted, target, step):
+        targets.append(target)
+        return bound(count, counted, target, step)
 
-    monkeypatch.setattr(spectra, "count_below", counting)
-    n_calls = []
-    for size in (spectra.SLICE_SIZE, 2):
+    monkeypatch.setattr(spectra, "_bound", spy)
+    for size, expected in ((spectra.SLICE_SIZE, [5, 6]), (2, [5, 2])):
         monkeypatch.setattr(spectra, "SLICE_SIZE", size)
-        calls.clear()
+        targets.clear()
         s = spectra.solve(evp, how_many=4, allow_disconnected=True)
-        n_calls.append(len(calls))
+        assert targets == expected
         assert np.array_equal(s.eigenvalues, np.zeros(4))
         assert [sl["count"] for sl in s.meta["slices"]] == [6]
-    assert n_calls[1] == n_calls[0] > 0
 
 
 def test_slice_placement_by_counts(monkeypatch):
@@ -835,16 +817,37 @@ def test_slice_placement_by_counts_unsplit(monkeypatch):
     _check_slice_placement((1.0, 2.0, 3.0), monkeypatch)
 
 
+def test_asymmetric_sliced_solve_shares_its_bound(monkeypatch):
+    # 1,2,3 trace m=7, k=1000 runs the block path on its one block: the
+    # shared k + 1 bound, then slices below it, with Rayleigh quotients.
+    # The shifts counted for the bound seed the slices: 35 inertia counts,
+    # where slicing for k + 1 from the bottom alone takes 51
+    evp = spectra.evp_from_trace(geom.triple_from_curvatures(1.0, 2.0, 3.0), 7)
+    k = 1000
+    count_below, calls = spectra.count_below, []
+
+    def counting(A, sigma):
+        calls.append(sigma)
+        return count_below(A, sigma)
+
+    monkeypatch.setattr(spectra, "count_below", counting)
+    s = spectra.solve(evp, how_many=k)
+    assert s.meta["method"] == "lanczos-shift-invert" and s.meta["inertia_verified"]
+    assert s.meta["symmetry"] == "none" and s.meta["blocks"] == [evp.n_free]
+    assert len(calls) <= 40
+    ref = np.linalg.eigvalsh(spectra._free_pencil(evp, False)[3].toarray())[:k]
+    assert np.max(np.abs(s.eigenvalues - ref) / ref) <= 1e-10
+
+
 def _check_slice_placement(curvatures, monkeypatch):
-    # trace m=7, k=1000: ceil(1001 / SLICE_SIZE) slices of at most
-    # step + step // 8 eigenvalues (the placement tolerance), each bound a
-    # shift that count_below counted, and no eigsh call beyond one per slice.
-    # On the unit triple the same holds per D3 block, for the block's count
-    # below the shared bound in place of k + 1
+    # trace m=7, k=1000: each block (the D3 blocks of the unit triple, the
+    # trivial group's one block of 1,2,3) is cut into ceil(total /
+    # SLICE_SIZE) slices of at most step + step // 8 eigenvalues (the
+    # placement tolerance), for its count `total` below the shared bound;
+    # each bound is a shift that count_below counted, and no eigsh call goes
+    # beyond one per slice
     evp = spectra.evp_from_trace(geom.triple_from_curvatures(*curvatures), 7)
     k = 1000
-    n_slices = math.ceil((k + 1) / spectra.SLICE_SIZE)
-    step = math.ceil((k + 1) / n_slices)
     counted, eigsh_calls = {}, []
     count_below, spla = spectra.count_below, spectra.spla
 
@@ -866,14 +869,11 @@ def _check_slice_placement(curvatures, monkeypatch):
     slices, sizes = s.meta["slices"], s.meta["blocks"]
     assert s.meta["inertia_verified"]
     assert sum(sl["count"] * sl["copies"] for sl in slices) >= k + 1
-    if len(sizes) == 1:
-        assert len(slices) == n_slices
-        assert all(sl["count"] <= step + step // 8 for sl in slices)
     for b in {sl["block"] for sl in slices}:
         own = [sl for sl in slices if sl["block"] == b]
         assert all(counted[sizes[b], sl["hi"]] == sum(x["count"] for x in own[: i + 1])
                    for i, sl in enumerate(own))
-        if len(sizes) > 1 and not any(sl["moves"] for sl in own):
+        if not any(sl["moves"] for sl in own):
             total = sum(sl["count"] for sl in own)  # the block's count below the shared bound
             n_own = math.ceil(total / spectra.SLICE_SIZE)
             step_own = math.ceil(total / n_own)
@@ -977,6 +977,14 @@ def test_how_many_zero_and_negative(unit_triple, monkeypatch, dense_kn2):
     s = spectra.solve(evp, how_many=0)
     assert len(s) == 0 and s.meta["inertia_verified"] and s.meta["trust_ceiling"] is None
     assert s.meta["method"] == ("dense" if dense_kn2 == 0.0 else "lanczos-shift-invert")
+
+
+@pytest.mark.parametrize("how_many", [2.5, 2.0, True, np.float64(3.0), "3"])
+def test_how_many_must_be_an_integer(unit_triple, how_many):
+    evp = spectra.evp_from_trace(unit_triple, 3)
+    with pytest.raises(ValueError, match="integer"):
+        spectra.solve(evp, how_many=how_many)
+    assert len(spectra.solve(evp, how_many=np.int64(3))) == 3
 
 
 def test_dirichlet_monotonicity(unit_triple):
