@@ -574,7 +574,37 @@ def _residual_max_one_block(K, d, lams, Y, s):
     return float(np.max(_residual_columns(K, d, lams, Y, s))) if len(lams) else 0.0
 
 
-@pytest.mark.parametrize("curvatures", [(1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 3.0)],
+# F: dense eigh, and one slice's kept columns (gathered from eigsh's output);
+# C: a C-order block.  On the identity basis of an unsplit pencil the
+# certificate must not depend on the layout of Y: each column keeps the bits
+# it has in the one C-order n x k block Q Y
+@pytest.mark.parametrize("layout", ["F", "C"])
+def test_blocked_residual_is_bit_identical(unit_triple, layout):
+    evp = spectra.evp_from_trace(unit_triple, 5)
+    _, K, d, A = spectra._free_pencil(evp, False)
+    s = 1.0 / np.sqrt(d)
+    Q = sp.identity(A.shape[0], format="dia")
+    as_layout = np.asfortranarray if layout == "F" else np.ascontiguousarray
+    lams, Y = np.linalg.eigh(A.toarray())
+    Y = as_layout(Y)
+    for k in (0, 1, 127, 128, 129, 300):
+        oracle = _residual_max_one_block(K, d, lams[:k], Q @ Y[:, :k], s)
+        assert spectra._residual_max(K, d, lams[:k], Y[:, :k], Q) == oracle, k
+    # numpy sums the norm of a lone column pairwise, so a one-column tail
+    # block would change bits: make such a column the worst of 129, and last
+    in_block = _residual_columns(K, d, lams, Q @ Y, s)
+    alone = np.array([_residual_columns(K, d, lams[j : j + 1], Q @ Y[:, j : j + 1], s)[0]
+                      for j in range(len(lams))])
+    moved = np.flatnonzero(in_block != alone)
+    worst = moved[np.argmax(in_block[moved])]
+    order = np.r_[np.flatnonzero(in_block < in_block[worst])[:128], worst]
+    Y_w = as_layout(Y[:, order])
+    oracle = _residual_max_one_block(K, d, lams[order], Q @ Y_w, s)
+    assert oracle == in_block[worst] != alone[worst]
+    assert spectra._residual_max(K, d, lams[order], Y_w, Q) == oracle
+
+
+@pytest.mark.parametrize("curvatures",[(1.0, 1.0, 1.0), (2.0, 1.0, 2.0), (1.0, 2.0, 3.0)],
                          ids=["D3", "mirror", "none"])
 def test_streamed_certificate_has_one_block_bits(curvatures):
     # _residual_max maps one column block at a time through the basis Q;
