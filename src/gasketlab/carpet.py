@@ -44,7 +44,6 @@ class GroupConfig:
     s_q: float  # its radius
     r_q: float  # radius of the concentric inversion circle
     residuals: tuple[float, float, float]  # orthogonality, angle(l1,l2), angle(l2,l4)
-    angle_residual_alt: float  # third constraint under the opposite sign convention
 
 
 def solve_params(q: int) -> GroupConfig:
@@ -54,10 +53,12 @@ def solve_params(q: int) -> GroupConfig:
     t sin(pi/q) = s cos(pi/3) (the circle meets the real axis at pi/3), and
     (1 - r^2) / (2 r s) = cos(pi/3) (it meets |z| = r at pi/3, taking the
     root in (0,1)).  Eliminating s gives t = 1/sqrt(1 - 4 sin^2(pi/q)),
-    which needs sin(pi/q) < 1/2, i.e. q > 6.
+    which needs sin(pi/q) < 1/2, i.e. q > 6.  ``q`` is a Python or numpy
+    integer, not a bool.
     """
-    if not isinstance(q, int) or q <= 6:
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q <= 6:
         raise InvalidQ(f"q must be an integer above 6, got {q!r}")
+    q = int(q)
     sq_sin = math.sin(math.pi / q)
     t = 1.0 / math.sqrt(1.0 - 4.0 * sq_sin * sq_sin)
     s = 2.0 * t * sq_sin
@@ -73,8 +74,7 @@ def solve_params(q: int) -> GroupConfig:
         t * sq_sin - s * math.cos(math.pi / 3.0),
         (1.0 - r * r) / (2.0 * r * s) - math.cos(math.pi / 3.0),
     )
-    res_alt = -(1.0 - r * r) / (2.0 * r * s) - math.cos(math.pi / 3.0)
-    return GroupConfig(q=q, t_q=t, s_q=s, r_q=r, residuals=res, angle_residual_alt=res_alt)
+    return GroupConfig(q=q, t_q=t, s_q=s, r_q=r, residuals=res)
 
 
 def _bisect(f, lo, hi, iters=200):
@@ -330,10 +330,15 @@ class RadialBump:
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
         self.amplitude = float(amplitude)
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"bump center must be finite, got {center!r}")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"bump radius must be finite and positive, got {radius!r}")
 
-    def support_in_unit_disk(self, margin: float = 1e-9) -> bool:
+    def support_in_unit_disk(self) -> bool:
+        """True when the support stays 1e-9 inside the unit circle."""
         cx, cy = self.center
-        return math.hypot(cx, cy) + self.radius < 1.0 - margin
+        return math.hypot(cx, cy) + self.radius < 1.0 - 1e-9
 
     def __call__(self, x, y):
         s2 = ((x - self.center[0]) ** 2 + (y - self.center[1]) ** 2) / self.radius**2
@@ -360,7 +365,7 @@ class RadialBump:
 @functools.lru_cache(maxsize=8)
 def _unit_circle(refine: int):
     """(cos theta, sin theta) at theta = 2 pi j / refine, read-only and shared."""
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
+    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ValueError(f"refine must be a positive integer, got {refine!r}")
     th = TWO_PI * np.arange(refine) / refine
     table = np.cos(th), np.sin(th)

@@ -293,7 +293,8 @@ def _cmd_checks(args) -> int:
     elif args.suite == "interlacing":
         t = geom.triple_from_curvatures(1.0, 1.0, 1.0)
         evp = spectra.evp_from_trace(t, 4, dirichlet="none")
-        for name, V in [("V0", (0, 1, 2)), ("random", tuple(rng.choice(120, 7, replace=False)))]:
+        v_rand = tuple(rng.choice(evp.n_total, 7, replace=False))
+        for name, V in [("V0", (0, 1, 2)), ("random", v_rand)]:
             try:
                 rep = spectra.interlacing_check(evp, V)
             except InterlacingViolation as exc:

@@ -91,9 +91,7 @@ class Network:
         return self._endpoint_sum(np.repeat(self.conductance, 2))
 
     def mass_vector(self) -> MassVector:
-        return MassVector(
-            values=self._endpoint_sum(np.repeat(0.5 * self.edge_mass, 2)), scheme="arc-lumped"
-        )
+        return MassVector(values=self._endpoint_sum(np.repeat(0.5 * self.edge_mass, 2)))
 
     def _endpoint_sum(self, weights) -> np.ndarray:
         """Per-vertex sum of ``weights`` given per edge endpoint, (E, 2) or flat."""
@@ -102,11 +100,8 @@ class Network:
         )
 
 
-@dataclass
 class TraceForm(Network):
     """Graph energy sum over depth-m cells of the per-cell conductance form."""
-
-    depth: int
 
 
 def complex_for(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> GasketComplex:
@@ -135,14 +130,12 @@ def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) 
         edges=ends[order],
         conductance=cond[order],
         edge_mass=None,
-        depth=m,
     )
 
 
 @dataclass
 class MassVector:
     values: np.ndarray
-    scheme: str
 
     @property
     def total(self) -> float:
@@ -191,7 +184,7 @@ def assemble_mass_trace(
     w = arc[:, [1, 2, 0]] + arc[:, [2, 0, 1]]
     vids = cx.vertex_ids[m].ravel()
     masses = np.bincount(vids, weights=w.ravel(), minlength=cx.num_vertices_at(m))
-    return MassVector(values=masses, scheme=scheme)
+    return MassVector(values=masses)
 
 
 def _cell_shape(quads: np.ndarray):
@@ -249,7 +242,6 @@ class ArcNetwork(Network):
     counts.
     """
 
-    depth: int
     refine: int
     n_vm: int  # leading ids are the V_m tangency points
     arc_ids: np.ndarray
@@ -320,7 +312,6 @@ def assemble_arc_fem(
         edges=edges.reshape(-1, 2),
         conductance=np.repeat(r / length, refine),
         edge_mass=np.repeat(r * length, refine),
-        depth=m,
         refine=refine,
         n_vm=n_vm,
         arc_ids=np.repeat(c, refine),

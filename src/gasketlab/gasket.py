@@ -134,10 +134,10 @@ class GasketComplex:
     j, has id 3 + 3(3^j - 1)/2 + 3i + s.  So the first 3 + 3(3^m - 1)/2 ids
     are exactly the depth-m vertex set V_m.
 
-    ``centers`` (nC, 2), ``radii``, ``curvatures`` and ``births`` (nC,)
-    describe the circles.  Ids 0-2 are the root members (birth -1; a
-    half-plane has radius inf and center nan); the inscribed disk of cell i
-    at depth j < depth has id 3 + (3^j - 1)/2 + i and birth j.
+    ``centers`` (nC, 2), ``radii`` and ``births`` (nC,) describe the
+    circles.  Ids 0-2 are the root members (birth -1; a half-plane has
+    radius inf and center nan); the inscribed disk of cell i at depth
+    j < depth has id 3 + (3^j - 1)/2 + i and birth j.
 
     The integer arrays are built in ``index_dtype`` of their largest value
     (nV, nC and the depth), so int32 below 2^31 - 1 vertices.
@@ -158,14 +158,12 @@ class GasketComplex:
         n_points = self.num_vertices_at(depth)
         self.centers = np.full((n_circles, 2), np.nan)
         self.radii = np.full(n_circles, np.inf)
-        self.curvatures = np.empty(n_circles)
         self.births = np.full(n_circles, -1, dtype=index_dtype(depth))
         self.points = np.empty((n_points, 2))
         self.vertex_pairs = np.empty((n_points, 2), dtype=index_dtype(n_circles))
         self.quads, self.vertex_ids = [], []
         halfplane = None
         for j, d in enumerate(self.root.disks):
-            self.curvatures[j] = d.curvature
             if d.is_disk:
                 self.centers[j], self.radii[j] = d.center, d.radius
             else:
@@ -184,12 +182,12 @@ class GasketComplex:
             # tangency points; the deepest ones are checked but not stored
             for rows in blocks:
                 cids = self._members(level, rows)
-                z, r_in, k_in = inscribed_disks(quads[rows], self.centers[cids],
-                                                self.radii[cids], halfplane)
+                z, r_in, _ = inscribed_disks(quads[rows], self.centers[cids],
+                                             self.radii[cids], halfplane)
                 if level < self.depth:
                     c = slice(c_in + rows.start, c_in + rows.stop)
                     self.centers[c], self.radii[c] = z, r_in
-                    self.curvatures[c], self.births[c] = k_in, level
+                    self.births[c] = level
             if level == self.depth:
                 break
             p_in = 3 + 3 * _cells_above(level)  # vertex id of cell 0's p1
@@ -388,9 +386,9 @@ def fit_dimension(samples) -> PowerLawFit:
     return fit_power_law(samples, keep_from=len(samples) // 2)
 
 
-def render_svg(t: DiskTriple, depth: int, size: int = 800, stroke: str = "#1a1a1a",
-               stroke_width: float = 1.0) -> str:
-    """SVG of the member circles plus all inscribed circles down to ``depth``."""
+def render_svg(t: DiskTriple, depth: int, stroke_width: float = 1.0) -> str:
+    """SVG of the member circles plus all inscribed circles down to ``depth``,
+    on ``svg.circles_svg``'s fixed canvas."""
     from .svg import circles_svg
 
     if depth < 0:  # the build is one level deeper, so -1 would pass it
@@ -398,7 +396,7 @@ def render_svg(t: DiskTriple, depth: int, size: int = 800, stroke: str = "#1a1a1
     cx = build_complex(t, depth + 1)
     disks = np.isfinite(cx.radii)
     circles = zip(*cx.centers[disks].T.tolist(), cx.radii[disks].tolist())
-    return circles_svg(circles, size=size, stroke=stroke, stroke_width=stroke_width)
+    return circles_svg(circles, stroke_width=stroke_width)
 
 
 def cells_to_json(t: DiskTriple, depth: int) -> list[dict]:

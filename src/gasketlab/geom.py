@@ -109,7 +109,8 @@ def disk_from_json(obj: dict) -> GeneralizedDisk:
         raise ValueError(f"a {kind} needs {keys[0]!r} and {keys[1]!r}, got {obj!r}")
     point, value = obj[keys[0]], obj[keys[1]]
     if not (isinstance(point, (list, tuple)) and len(point) == 2
-            and all(isinstance(x, (int, float)) for x in (*point, value))):
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in (*point, value))):
         raise ValueError(f"a {kind} needs two numbers as {keys[0]!r} and a number as {keys[1]!r}")
     return (disk if kind == "disk" else halfplane)(tuple(point), value)
 
@@ -330,10 +331,14 @@ def triangle_area(t: DiskTriple) -> float:
 # canonical constructions used by tests and the CLI
 
 
+def _check_curvatures(*ks: float) -> None:
+    if not all(math.isfinite(k) and k > 0.0 for k in ks):
+        raise ValueError("curvatures must be finite and positive")
+
+
 def triple_from_curvatures(a: float, b: float, c: float) -> DiskTriple:
     """Canonical triple with given curvatures: first two disks on the x-axis."""
-    if not all(math.isfinite(k) and k > 0.0 for k in (a, b, c)):
-        raise ValueError("curvatures must be finite and positive")
+    _check_curvatures(a, b, c)
     r1, r2, r3 = 1.0 / a, 1.0 / b, 1.0 / c
     d12, d13, d23 = r1 + r2, r1 + r3, r2 + r3
     x = (d12 * d12 + d13 * d13 - d23 * d23) / (2.0 * d12)
@@ -347,6 +352,7 @@ def triple_from_curvatures(a: float, b: float, c: float) -> DiskTriple:
 
 def triple_with_halfplane(a: float, b: float) -> DiskTriple:
     """Two disks of curvature a, b resting on the x-axis plus the lower half-plane."""
+    _check_curvatures(a, b)
     r1, r2 = 1.0 / a, 1.0 / b
     x = 2.0 * math.sqrt(r1 * r2)
     return validate_triple(

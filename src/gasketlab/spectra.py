@@ -828,6 +828,11 @@ def weyl_fit(s: Spectrum) -> WeylFit:
 # ---------------------------------------------------------------------------
 # structural checks
 
+INTERLACING_RTOL = 1e-9
+# scaling_check: lowest eigenvalues compared, arc FEM refine, tolerance
+SCALING_EIGS, SCALING_REFINE, SCALING_RTOL = 50, 4, 1e-9
+CENSUS_SLACK = 2  # ties the census lower bound may miss by
+
 
 @dataclass
 class InterlacingReport:
@@ -837,23 +842,22 @@ class InterlacingReport:
     ok: bool
 
 
-def interlacing_check(evp: GeneralizedEVP, V, rtol: float = 1e-9) -> InterlacingReport:
+def interlacing_check(evp: GeneralizedEVP, V) -> InterlacingReport:
     """lambda_n <= lambda_n^V <= lambda_{n+#V} on a fixed discretization.
 
-    The base problem keeps the symmetries of ``evp``; the constrained one
-    takes the largest subgroup of theirs that maps V onto itself: D3, else
-    one of its mirrors (``evp.mirror`` or, with a rotation r, s r or
-    s r^2), else none.
+    Each inequality may fail by ``INTERLACING_RTOL`` relative to the larger
+    side, or to 1e-6 of the top free eigenvalue where that is larger.  The
+    base problem keeps the symmetries of ``evp``; the constrained one keeps
+    D3 if that maps V onto itself, else ``evp.mirror`` if that does, else
+    none.
     """
     base = GeneralizedEVP(evp.stiffness, evp.mass, boundary=(), meta=dict(evp.meta),
                           mirror=evp.mirror, rotation=evp.rotation)
     v_sorted = tuple(sorted(set(int(i) for i in V)))
     mirror, rotation = evp.mirror, evp.rotation
-    if rotation is None or not (_keeps(mirror, v_sorted) and _keeps(rotation, v_sorted)):
-        mirrors = [] if mirror is None else [mirror]
-        if rotation is not None:
-            mirrors += [mirror[rotation], mirror[rotation[rotation]]]
-        mirror = next((p for p in mirrors if _keeps(p, v_sorted)), None)
+    if mirror is not None and not _keeps(mirror, v_sorted):
+        mirror = rotation = None
+    elif rotation is not None and not _keeps(rotation, v_sorted):
         rotation = None
     cons = GeneralizedEVP(evp.stiffness, evp.mass, boundary=v_sorted, meta=dict(evp.meta),
                           mirror=mirror, rotation=rotation)
@@ -867,9 +871,9 @@ def interlacing_check(evp: GeneralizedEVP, V, rtol: float = 1e-9) -> Interlacing
     for i in range(n):
         worst_lo = max(worst_lo, lam_free[i] - lam_v[i])
         worst_hi = max(worst_hi, lam_v[i] - lam_free[i + nv])
-        if lam_free[i] - lam_v[i] > rtol * max(lam_v[i], scale * 1e-6):
+        if lam_free[i] - lam_v[i] > INTERLACING_RTOL * max(lam_v[i], scale * 1e-6):
             raise InterlacingViolation(f"lower interlacing fails at n={i + 1}", i + 1)
-        if lam_v[i] - lam_free[i + nv] > rtol * max(lam_free[i + nv], scale * 1e-6):
+        if lam_v[i] - lam_free[i + nv] > INTERLACING_RTOL * max(lam_free[i + nv], scale * 1e-6):
             raise InterlacingViolation(f"upper interlacing fails at n={i + 1}", i + 1)
     return InterlacingReport(
         n_checked=n, max_low_violation=worst_lo, max_high_violation=worst_hi, ok=True
@@ -885,33 +889,29 @@ class ScalingReport:
     ok: bool
 
 
-def scaling_check(
-    t: DiskTriple,
-    s: float,
-    m: int = 4,
-    scheme: str = "trace",
-    refine: int = 4,
-    n_eigs: int = 50,
-    rtol: float = 1e-9,
-) -> ScalingReport:
-    """Spatial dilation by s must scale every eigenvalue by s^-2."""
+def scaling_check(t: DiskTriple, s: float, m: int = 4, scheme: str = "trace") -> ScalingReport:
+    """Spatial dilation by s must scale every eigenvalue by s^-2.
+
+    Compares the lowest ``SCALING_EIGS`` eigenvalues of depth-m pencils of
+    ``t`` and of ``t`` dilated by s (arc FEM at refine ``SCALING_REFINE``);
+    ``ok`` when the worst relative error is at most ``SCALING_RTOL``.
+    """
     t2 = transform_triple(t, scale=s)
     if scheme == "trace":
         e1 = evp_from_trace(t, m)
         e2 = evp_from_trace(t2, m)
     else:
-        e1 = evp_from_arc_fem(t, m, refine)
-        e2 = evp_from_arc_fem(t2, m, refine)
+        e1 = evp_from_arc_fem(t, m, SCALING_REFINE)
+        e2 = evp_from_arc_fem(t2, m, SCALING_REFINE)
     lam1 = solve(e1).eigenvalues
     lam2 = solve(e2).eigenvalues
-    k = min(n_eigs, len(lam1), len(lam2))
+    k = min(SCALING_EIGS, len(lam1), len(lam2))
     lam1, lam2 = lam1[:k], lam2[:k]
     expected = s ** (-2.0)
     denom = np.maximum(np.abs(lam1) * expected, 1e-300)
     err = float(np.max(np.abs(lam2 - lam1 * expected) / denom))
-    return ScalingReport(
-        scale=s, expected_ratio=expected, max_rel_error=err, n_compared=k, ok=err <= rtol
-    )
+    return ScalingReport(scale=s, expected_ratio=expected, max_rel_error=err, n_compared=k,
+                         ok=err <= SCALING_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -984,11 +984,7 @@ def census_vertices(t: DiskTriple, n: int):
 
 
 def subdivision_census(
-    t: DiskTriple,
-    lam: float,
-    truncation: int,
-    depth: int | None = None,
-    slack: int = 2,
+    t: DiskTriple, lam: float, truncation: int, depth: int | None = None
 ) -> CensusReport:
     """Compare the parent eigenvalue count with the sum over census cells.
 
@@ -998,9 +994,9 @@ def subdivision_census(
     vertices, and cell w keeps its subtree's depth-``depth`` vertices minus
     its corners.  Every edge and mass term at those vertices comes from the
     subtree, so this is w's own pencil at depth ``depth - len(w)``.  The
-    bound sum <= parent count holds up to ``slack`` ties; the upper gap is
-    only reported.  ``ValueError`` for ``truncation < 1``, ``lam`` negative,
-    infinite or NaN, or ``depth`` below the effective truncation;
+    bound sum <= parent count holds up to ``CENSUS_SLACK`` ties; the upper
+    gap is only reported.  ``ValueError`` for ``truncation < 1``, ``lam``
+    negative, infinite or NaN, or ``depth`` below the effective truncation;
     ``DegenerateShift`` when a pivot flags ``lam`` as an eigenvalue.
     """
     if not 0.0 <= lam < math.inf:
@@ -1044,7 +1040,7 @@ def subdivision_census(
         child_sum=child_sum,
         vertex_count=len(v_ids),
         vertex_count_formula=9 * T - 3,
-        lower_bound_ok=child_sum <= parent_count + slack,
+        lower_bound_ok=child_sum <= parent_count + CENSUS_SLACK,
         upper_gap=parent_count - child_sum,
         rows=rows,
     )

@@ -21,8 +21,9 @@ def test_solve_params_q8_values():
     assert abs(cfg.r_q**2 + cfg.r_q * cfg.s_q - 1.0) < 1e-12
     assert cfg.r_q == pytest.approx(0.5688190, abs=1e-5)
     assert max(abs(x) for x in cfg.residuals) < 1e-12
-    # the opposite angle convention is clearly violated, as recorded
-    assert abs(cfg.angle_residual_alt) > 0.5
+    # the third constraint under the opposite sign convention is clearly violated
+    r, s = cfg.r_q, cfg.s_q
+    assert abs(-(1.0 - r * r) / (2.0 * r * s) - math.cos(math.pi / 3.0)) > 0.5
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 12])
@@ -42,6 +43,12 @@ def test_solve_params_invalid_q(q):
 def test_solve_params_non_integer():
     with pytest.raises(InvalidQ):
         carpet.solve_params(7.5)
+
+
+def test_solve_params_numpy_integer():
+    # the integer rule of spectra.solve: numpy integers are integers
+    cfg = carpet.solve_params(np.int64(8))
+    assert cfg == carpet.solve_params(8) and type(cfg.q) is int
 
 
 def _random_circles(rng):
@@ -318,6 +325,17 @@ def test_harmonicity_support_violation():
         carpet.harmonicity_residual(o, carpet.RadialBump((0.8, 0.0), 0.5))
 
 
+@pytest.mark.parametrize("center, radius", [
+    ((0.23, 0.11), -0.4), ((0.23, 0.11), 0.0), ((0.23, 0.11), math.nan),
+    ((0.23, 0.11), math.inf), ((math.nan, 0.11), 0.4), ((0.23, -math.inf), 0.4),
+])
+def test_bump_rejects_bad_center_or_radius(center, radius):
+    # a negative radius passed the support check and gave a residual of 0.0
+    # from no circles; a zero radius divided by zero
+    with pytest.raises(ValueError, match="bump"):
+        carpet.RadialBump(center, radius)
+
+
 def test_harmonicity_gauss_green_per_circle():
     cfg = carpet.solve_params(8)
     bump = carpet.RadialBump((0.23, 0.11), 0.5)
@@ -332,9 +350,10 @@ def test_harmonicity_gauss_green_per_circle():
     assert lhs == pytest.approx(rhs, abs=1e-12 + 1e-9 * abs(rhs))
 
 
-@pytest.mark.parametrize("refine", [0, -4, 2.5])
+@pytest.mark.parametrize("refine", [0, -4, 2.5, True])
 def test_harmonicity_rejects_bad_refine(refine):
-    # a nonpositive refine gives an empty quadrature: a perfect-looking 0.0
+    # a nonpositive refine gives an empty quadrature: a perfect-looking 0.0,
+    # and True would be taken as one point
     cfg = carpet.solve_params(8)
     o = carpet.enumerate_circles(cfg, 1e-1)
     bump = carpet.RadialBump((0.2, 0.1), 0.4)

@@ -120,6 +120,20 @@ def test_carpet_gen_csv(capsys, tmp_path):
     assert svg_path.read_text().count("<circle") == len(lines)  # orbit + unit circle
 
 
+def test_svg_bytes(capsys, tmp_path):
+    # both SVG writers draw on the fixed canvas, stroke and margin of gasketlab.svg
+    code, out, _ = run_cli(capsys, "gasket", "render", "--depth", "3")
+    assert code == 0
+    digest = "bd40c374432b1a2840ec2e051ce916c89da5c4ff4851f7d46c740ee3a435e4bc"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    svg_path = tmp_path / "carpet.svg"
+    code, _, _ = run_cli(capsys, "carpet", "gen", "--q", "8", "--min-radius", "0.02",
+                         "--out-svg", str(svg_path))
+    assert code == 0
+    digest = "24e153ad0af0a29533b84f550c7c9042a67804154886ac034c93d3aa2c6c2760"
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
+
+
 def test_carpet_separation_json(capsys):
     code, out, _ = run_cli(capsys, "carpet", "separation", "--q", "8", "--min-radius", "0.01")
     assert code == 0
@@ -151,7 +165,7 @@ def test_checks_census_csv(capsys, tmp_path):
 
 
 def test_checks_interlacing_violation_exit_two(capsys, monkeypatch):
-    def violated(evp, V, rtol=1e-9):
+    def violated(evp, V):
         raise InterlacingViolation("lower interlacing fails at n=4", 4)
 
     monkeypatch.setattr(spectra, "interlacing_check", violated)
@@ -224,8 +238,10 @@ def test_nonfinite_or_nonpositive_triple_exit_one(capsys, triple):
         '[{"type": "disk", "center": [0], "radius": 1}, {"type": "disk", "center": [2, 0],'
         ' "radius": 1}, {"type": "disk", "center": [1, 1.7320508075688772], "radius": 1}]',
         "[1, 2, 3]",
+        '[{"type": "disk", "center": [0, 0], "radius": true}, {"type": "disk", "center": [2, 0],'
+        ' "radius": 1}, {"type": "disk", "center": [1, 1.7320508075688772], "radius": 1}]',
     ],
-    ids=["no radius", "no type", "no offset", "short center", "not objects"],
+    ids=["no radius", "no type", "no offset", "short center", "not objects", "boolean radius"],
 )
 def test_malformed_json_triple_exit_one(capsys, triple):
     code, out, err = run_cli(capsys, "gasket", "count", "--triple", triple)

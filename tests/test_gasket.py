@@ -367,7 +367,7 @@ def test_build_complex_memory_is_bounded(unit_triple):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (cx.points, cx.vertex_pairs, cx.centers, cx.radii, cx.curvatures, cx.births,
+    arrays = (cx.points, cx.vertex_pairs, cx.centers, cx.radii, cx.births,
               *cx.quads, *cx.vertex_ids)
     assert peak < 2.5 * sum(a.nbytes for a in arrays)
 

@@ -193,6 +193,22 @@ def test_invert_roundtrip(rng):
             assert np.max(np.abs(br - r) / r) < 1e-9
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+def test_triple_with_halfplane_rejects_bad_curvatures(a, b):
+    with pytest.raises(ValueError, match="curvatures must be finite and positive"):
+        geom.triple_with_halfplane(a, b)
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "disk", "center": [0, 0], "radius": True},
+    {"type": "disk", "center": [False, 0], "radius": 1},
+    {"type": "halfplane", "normal": [0, 1], "offset": False},
+])
+def test_disk_from_json_rejects_booleans(obj):
+    with pytest.raises(ValueError, match="needs two numbers"):
+        geom.disk_from_json(obj)
+
+
 def test_disk_json_roundtrip():
     d = geom.disk((1.25, -0.5), 0.75)
     assert geom.disk_from_json(geom.disk_to_json(d)) == d

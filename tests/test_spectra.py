@@ -521,10 +521,10 @@ def test_unmirrored_dense_is_one_eigh_call(scheme):
 
 
 def test_interlacing_keeps_the_mirror(unit_triple, monkeypatch):
-    # the base problem keeps D3; the constrained one takes the largest
-    # subgroup that keeps V: D3, a mirror (evp.mirror, or the mirror of D3
-    # that fixes a corner the first one moves) or none.  The report matches
-    # the unsplit one
+    # the base problem keeps D3; the constrained one keeps D3 if that maps V
+    # onto itself, else evp.mirror if that does, else none (also where
+    # another mirror of D3 would keep V, as for a corner evp.mirror moves).
+    # The report matches the unsplit one
     evp = spectra.evp_from_trace(unit_triple, 4, dirichlet="none")
     plain = spectra.GeneralizedEVP(evp.stiffness, evp.mass, ())
     solve, groups = spectra.solve, []
@@ -538,10 +538,10 @@ def test_interlacing_keeps_the_mirror(unit_triple, monkeypatch):
 
     p = evp.mirror
     x = next(i for i in range(3, evp.n_total) if p[i] != i)  # the mirror keeps {x, p[x]}
-    corner = next(c for c in range(3) if p[c] != c)  # another mirror fixes it
+    corner = next(c for c in range(3) if p[c] != c)
     monkeypatch.setattr(spectra, "solve", recording)
     for V, split in (((0, 1, 2), ["D3", "D3"]), ((0, 5), ["D3", None]),
-                     ((x, int(p[x])), ["D3", "mirror"]), ((corner,), ["D3", "mirror"])):
+                     ((x, int(p[x])), ["D3", "mirror"]), ((corner,), ["D3", None])):
         groups.clear()
         rep = spectra.interlacing_check(evp, V)
         assert groups == split
