@@ -302,20 +302,17 @@ def separation_stats(o: CircleOrbit):
     return eps, pairs
 
 
-def fit_carpet_dimension(o: CircleOrbit, expect_in=(1.0, 2.0)) -> PowerLawFit:
-    """Power-law exponent of the circle count over the top curvature decade."""
+def fit_carpet_dimension(o: CircleOrbit) -> PowerLawFit:
+    """Power-law exponent, in (1, 2), of the circle count over the top curvature decade."""
     if len(o) < 1000:
         raise InsufficientRange("need at least 1000 circles")
     curv = np.sort(o.curvatures())
     lam_hi = 1.0 / o.min_radius
     lam_lo = lam_hi / 10.0
     grid = np.exp(np.linspace(math.log(lam_lo), math.log(lam_hi), 24))
-    counts = np.searchsorted(curv, grid, side="right")
-    fit = fit_power_law(list(zip(grid.tolist(), counts.tolist())), keep_from=0)
-    if expect_in is not None and not (expect_in[0] < fit.slope < expect_in[1]):
-        raise InsufficientRange(
-            f"fitted dimension {fit.slope:.4f} outside {expect_in}"
-        )
+    fit = fit_power_law(grid, np.searchsorted(curv, grid, side="right"))
+    if not 1.0 < fit.slope < 2.0:
+        raise InsufficientRange(f"fitted dimension {fit.slope:.4f} outside (1, 2)")
     return fit
 
 
@@ -330,6 +327,8 @@ class RadialBump:
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
         self.amplitude = float(amplitude)
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"bump amplitude must be finite, got {amplitude!r}")
         if not all(map(math.isfinite, self.center)):
             raise ValueError(f"bump center must be finite, got {center!r}")
         if not 0.0 < self.radius < math.inf:

@@ -338,36 +338,34 @@ def geometric_grid(lo: float, hi: float, n: int):
 
 @dataclass(frozen=True)
 class PowerLawFit:
+    """N ~ prefactor * lam**slope; ``residual`` is the RMS of the log residuals."""
+
     slope: float
     prefactor: float
     r_squared: float
+    residual: float
     window: tuple[float, float]
     n_points: int
 
 
-def fit_power_law(samples, keep_from: int) -> PowerLawFit:
-    pts = [(lam, n) for lam, n in samples if n > 0]
-    pts = pts[keep_from:]
-    if len(pts) < 2:
+def fit_power_law(lam, counts) -> PowerLawFit:
+    """Least-squares line through (log lam, log N) over the points with N > 0."""
+    counts = np.asarray(counts, dtype=float)
+    keep = counts > 0
+    if keep.sum() < 2:
         raise InsufficientRange("not enough nonzero counting samples in the window")
-    xs = [math.log(lam) for lam, _ in pts]
-    ys = [math.log(n) for _, n in pts]
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    lam = np.asarray(lam, dtype=float)[keep]
+    x, y = np.log(lam), np.log(counts[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    res2 = (y - (slope * x + intercept)) ** 2
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     return PowerLawFit(
-        slope=slope,
-        prefactor=math.exp(intercept),
-        r_squared=r2,
-        window=(pts[0][0], pts[-1][0]),
-        n_points=len(pts),
+        slope=float(slope),
+        prefactor=float(np.exp(intercept)),
+        r_squared=1.0 - float(np.sum(res2)) / ss_tot if ss_tot > 0 else 1.0,
+        residual=float(np.sqrt(np.mean(res2))),
+        window=(float(lam[0]), float(lam[-1])),
+        n_points=len(lam),
     )
 
 
@@ -383,7 +381,10 @@ def fit_dimension(samples) -> PowerLawFit:
     lo, hi = samples[0][0], samples[-1][0]
     if hi < 1e3 * lo:
         raise InsufficientRange("grid must span at least 3 decades")
-    return fit_power_law(samples, keep_from=len(samples) // 2)
+    lam, counts = np.array(samples, dtype=float).T
+    keep = counts > 0
+    half = len(samples) // 2  # half the grid, skipped among the nonzero points
+    return fit_power_law(lam[keep][half:], counts[keep][half:])
 
 
 def render_svg(t: DiskTriple, depth: int, stroke_width: float = 1.0) -> str:

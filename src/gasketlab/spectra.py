@@ -48,7 +48,7 @@ from .errors import (
     NotConverged,
 )
 from .forms import assemble_arc_fem, assemble_mass_trace, assemble_trace_form, complex_for
-from .gasket import build_complex, index_set_I, word_index
+from .gasket import PowerLawFit, build_complex, fit_power_law, index_set_I, word_index
 from .geom import DiskTriple, transform_triple
 
 # Dense (syevd) against sliced solve time in s at slice size 48, unit triple,
@@ -787,16 +787,7 @@ def trust_ceiling(s: Spectrum) -> float:
     return float(s.eigenvalues[idx])
 
 
-@dataclass
-class WeylFit:
-    slope: float
-    prefactor: float
-    window: tuple[float, float]
-    residual: float
-    n_points: int
-
-
-def weyl_fit(s: Spectrum) -> WeylFit:
+def weyl_fit(s: Spectrum) -> PowerLawFit:
     """Log-log slope of the eigenvalue counting function.
 
     Fits N(lambda_i) = i+1 against lambda_i for indices between 10% and 50%
@@ -812,17 +803,7 @@ def weyl_fit(s: Spectrum) -> WeylFit:
     lam = s.eigenvalues[i_lo - 1 : i_hi]
     if lam[0] <= 0:
         raise InsufficientSpectrum("window reaches nonpositive eigenvalues")
-    x = np.log(lam)
-    y = np.log(np.arange(i_lo, i_hi + 1, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return WeylFit(
-        slope=float(slope),
-        prefactor=float(np.exp(intercept)),
-        window=(float(lam[0]), float(lam[-1])),
-        residual=resid,
-        n_points=len(lam),
-    )
+    return fit_power_law(lam, np.arange(i_lo, i_hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +915,7 @@ def census_index_set(truncation: int) -> list[str]:
     """Pairwise non-nested cell addresses covering the gasket minus V_0."""
     if truncation < 1:
         raise ValueError(f"truncation must be at least 1, got {truncation}")
-    words = [w for w in index_set_I(truncation - 1) if len(w) <= truncation]
+    words = index_set_I(truncation - 1)  # lengths 2..truncation
     words += [j * truncation for j in "123"]
     return sorted(words)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 SIZE = 800  # square canvas, in px
 STROKE = "#1a1a1a"
 MARGIN = 0.03  # blank border on each side, as a fraction of the circles' span
@@ -14,6 +16,8 @@ def circles_svg(circles, stroke_width: float = 1.0) -> str:
     ``STROKE``.  Output is deterministic for a fixed input list (17
     significant digit coordinates, no timestamps).
     """
+    if not 0.0 <= stroke_width < math.inf:
+        raise ValueError(f"stroke width must be finite and nonnegative, got {stroke_width!r}")
     circles = list(circles)
     if circles:
         lo_x = min(c[0] - c[2] for c in circles)

@@ -239,10 +239,8 @@ def test_criterion_13_carpet_dimension():
     dims = {}
     for q in (8, 9, 12):
         cfg = carpet.solve_params(q)
-        d_coarse = carpet.fit_carpet_dimension(
-            carpet.enumerate_circles(cfg, 3e-3), expect_in=None).slope
-        d_fine = carpet.fit_carpet_dimension(
-            carpet.enumerate_circles(cfg, 3e-4), expect_in=None).slope
+        d_coarse = carpet.fit_carpet_dimension(carpet.enumerate_circles(cfg, 3e-3)).slope
+        d_fine = carpet.fit_carpet_dimension(carpet.enumerate_circles(cfg, 3e-4)).slope
         ok &= 1.0 < d_fine < 2.0 and 1.0 < d_coarse < 2.0
         ok &= abs(d_fine - d_coarse) <= 0.05
         dims[q] = d_fine

@@ -302,6 +302,18 @@ def test_fit_dimension_synthetic():
     assert abs(fit.slope - d) < 1e-3
 
 
+@pytest.mark.parametrize("d", [0.8, 2.5])
+def test_fit_dimension_outside_one_two(d):
+    cfg = carpet.solve_params(8)
+    n = 100000
+    radii = np.arange(1, n + 1, dtype=float) ** (-1.0 / d)
+    orbit = carpet.CircleOrbit(
+        cfg, float(radii.min()), np.zeros(n, dtype=complex), radii, np.ones(n, dtype=int)
+    )
+    with pytest.raises(InsufficientRange, match="outside"):
+        carpet.fit_carpet_dimension(orbit)
+
+
 def test_fit_dimension_needs_circles():
     cfg = carpet.solve_params(8)
     orbit = carpet.CircleOrbit(
@@ -334,6 +346,13 @@ def test_bump_rejects_bad_center_or_radius(center, radius):
     # from no circles; a zero radius divided by zero
     with pytest.raises(ValueError, match="bump"):
         carpet.RadialBump(center, radius)
+
+
+@pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+def test_bump_rejects_nonfinite_amplitude(amplitude):
+    # nan gave a nan residual, inf a RuntimeWarning
+    with pytest.raises(ValueError, match="bump amplitude"):
+        carpet.RadialBump((0.2, 0.1), 0.4, amplitude=amplitude)
 
 
 def test_harmonicity_gauss_green_per_circle():

@@ -196,6 +196,14 @@ def test_gasket_negative_depth_exit_one(capsys, subcommand):
     assert err == "error: depth must be nonnegative\n"
 
 
+@pytest.mark.parametrize("width", ["nan", "inf", "-3"])
+def test_render_bad_stroke_width_exit_one(capsys, width):
+    # a negative or non-finite stroke-width is not valid SVG
+    code, out, err = run_cli(capsys, "gasket", "render", "--depth", "1", "--stroke-width", width)
+    assert code == 1 and out == ""
+    assert err.startswith("error: stroke width must be finite and nonnegative")
+
+
 def test_unknown_flag_exit_one(capsys):
     assert main(["gasket", "count", "--bogus"]) == 1
 

@@ -96,6 +96,19 @@ def test_weyl_fit_synthetic_power_law():
     assert fit.residual < 1e-6
 
 
+def test_weyl_fit_is_one_polyfit(unit_triple):
+    # the fit over the 10%..50% window, written out: equal bit for bit
+    s = spectra.solve(spectra.evp_from_trace(unit_triple, 5))
+    fit = spectra.weyl_fit(s)
+    i_lo, i_hi = max(int(0.1 * len(s)), 1), int(0.5 * len(s))
+    lam = s.eigenvalues[i_lo - 1 : i_hi]
+    x, y = np.log(lam), np.log(np.arange(i_lo, i_hi + 1, dtype=float))
+    slope, intercept = np.polyfit(x, y, 1)
+    assert fit.slope == slope and fit.prefactor == np.exp(intercept)
+    assert fit.residual == np.sqrt(np.mean((y - (slope * x + intercept)) ** 2))
+    assert fit.window == (lam[0], lam[-1]) and fit.n_points == len(lam) == 146
+
+
 def test_weyl_fit_needs_enough_eigenvalues():
     s = spectra.Spectrum(np.arange(1.0, 100.0), {"n_free": 99})
     with pytest.raises(InsufficientSpectrum):
