@@ -382,9 +382,8 @@ def fit_dimension(samples) -> PowerLawFit:
     if hi < 1e3 * lo:
         raise InsufficientRange("grid must span at least 3 decades")
     lam, counts = np.array(samples, dtype=float).T
-    keep = counts > 0
-    half = len(samples) // 2  # half the grid, skipped among the nonzero points
-    return fit_power_law(lam[keep][half:], counts[keep][half:])
+    half = len(samples) // 2  # fit_power_law then drops the zero counts left
+    return fit_power_law(lam[half:], counts[half:])
 
 
 def render_svg(t: DiskTriple, depth: int, stroke_width: float = 1.0) -> str:

@@ -359,7 +359,9 @@ def stiffness(net) -> sp.csr_matrix:
 def enumerate_circles(cfg: GroupConfig, min_radius: float, cap: int = 10**7) -> CircleOrbit:
     """Breadth-first carpet orbit, deduplicated by KD-tree queries on
     (Re c, Im c, r): the nearest generation g-2 circle within 2e-9, and all
-    pairs of generation g images within 2e-9."""
+    pairs of generation g images within 2e-9.  Images are laid out
+    generator-major, so of two matching images the one kept is the copy
+    made by the lowest generator."""
     gens = generators(cfg)
     tol = 1e-9
 
@@ -374,9 +376,9 @@ def enumerate_circles(cfg: GroupConfig, min_radius: float, cap: int = 10**7) -> 
     while len(layers[-1][1]):
         c, r = layers[-1]
         images = [g(c, r) for g in gens]
-        ic = np.column_stack([im[0] for im in images]).ravel()
-        ir = np.column_stack([im[1] for im in images]).ravel()
-        fresh = ~matches(ic, ir, np.repeat(c, 4), np.repeat(r, 4))
+        ic = np.concatenate([im[0] for im in images])
+        ir = np.concatenate([im[1] for im in images])
+        fresh = ~matches(ic, ir, np.tile(c, 4), np.tile(r, 4))
         if len(layers) >= 2:
             c2, r2 = layers[-2]
             _, j = cKDTree(points(c2, r2)).query(

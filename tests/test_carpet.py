@@ -132,6 +132,8 @@ def _global_hash_orbit(cfg, min_radius):
     Circles down to 0.3 * ``min_radius`` are expanded though only
     those at or above ``min_radius`` are stored, so a large image of a small
     circle cannot be missed; the maps use plain Python complex arithmetic.
+    Each generation is mapped generator by generator, so of two matching
+    images the one kept is the copy made by the lowest generator.
     """
     center2 = cfg.t_q * cmath.exp(1j * math.pi / cfg.q)
 
@@ -175,8 +177,8 @@ def _global_hash_orbit(cfg, min_radius):
     while frontier:
         generation += 1
         nxt = []
-        for c, r in frontier:
-            for mp in maps:
+        for mp in maps:
+            for c, r in frontier:
                 c2, r2 = mp(c, r)
                 if not remember(c2, r2):
                     continue
@@ -197,8 +199,8 @@ def _global_hash_orbit(cfg, min_radius):
     "q, min_radius", [(7, 1e-2), (8, 1e-2), (9, 1e-2), (12, 1e-2), (8, 3e-3)]
 )
 def test_orbit_matches_global_hash_enumeration(q, min_radius):
-    # bit-identical to the unpruned global-hash BFS: the generation window
-    # dedup and the pruning at min_radius lose and duplicate nothing
+    # bit-identical to the unpruned global-hash BFS: the descent test and
+    # the pruning at min_radius lose and duplicate nothing
     cfg = carpet.solve_params(q)
     centers, radii, gens = _global_hash_orbit(cfg, min_radius)
     o = carpet.enumerate_circles(cfg, min_radius)
@@ -231,8 +233,14 @@ def test_orbit_closed_and_parents_not_smaller():
 
 
 def test_orbit_budget_exceeded():
+    cfg = carpet.solve_params(8)
     with pytest.raises(BudgetExceeded):
-        carpet.enumerate_circles(carpet.solve_params(8), 1e-2, cap=10)
+        carpet.enumerate_circles(cfg, 1e-2, cap=10)
+    # the cap admits exactly the stored count and refuses one circle fewer
+    n = len(carpet.enumerate_circles(cfg, 1e-2))
+    assert len(carpet.enumerate_circles(cfg, 1e-2, cap=n)) == n
+    with pytest.raises(BudgetExceeded):
+        carpet.enumerate_circles(cfg, 1e-2, cap=n - 1)
 
 
 def test_orbit_inside_unit_disk_and_disjoint():
@@ -459,9 +467,9 @@ def test_carpet_svg_golden_hashes():
     from gasketlab.svg import circles_svg
 
     golden = {
-        8: ("9643ca9deb43f98547be0c8affe703fc503e62a1ec3f70caed67243d625719a3", 73),
-        9: ("537b0a1bb5951af2cea6a84d9a2faa95faa2dac46324357f940a0e21d8676a9a", 73),
-        12: ("e44ad0b136a6f94f2960f841da8c3bc4dacfaf6ff1d06c17ed6ec3dd09791c5a", 61),
+        8: ("adcc60213846a088a6492cc3a2202981734232a09612f00533620c072dfa3b3b", 73),
+        9: ("a9b8208210f87aec7a6ba2b6cae80cd3cd4f4d86dd13212e74a5d59003b477c6", 73),
+        12: ("32ef060c8293a64acbf74cc189133f2e8b5486d56dd198a364d6f77d43b81953", 61),
     }
     for q, (digest, count) in golden.items():
         cfg = carpet.solve_params(q)

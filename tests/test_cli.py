@@ -130,7 +130,7 @@ def test_svg_bytes(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "carpet", "gen", "--q", "8", "--min-radius", "0.02",
                          "--out-svg", str(svg_path))
     assert code == 0
-    digest = "24e153ad0af0a29533b84f550c7c9042a67804154886ac034c93d3aa2c6c2760"
+    digest = "1c42cb8ce6f533c795df13996413f0616f78eea6eb5ff0c061a7bf9afb55041c"
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
 
 

@@ -215,7 +215,8 @@ def test_tangency_point_matches_scalar(rng):
                     assert geom.tangency_point(d1, d2) == legacy.tangency_point(d1, d2)
 
 
-CARPET_CASES = [(q, r) for q in (7, 8, 9, 12) for r in (1e-2, 1e-3)] + [(8, 3e-4)]
+CARPET_CASES = [(q, r) for q in (7, 8, 9, 12) for r in (1e-2, 1e-3)] + [
+    (8, 3e-4), (16, 1e-3), (24, 1e-3)]
 
 
 @pytest.fixture(scope="module", params=CARPET_CASES, ids=lambda c: f"q{c[0]}-r{c[1]:g}")

@@ -233,13 +233,14 @@ def test_fit_dimension_synthetic_power_law():
     assert fit.r_squared > 1 - 1e-12
 
 
-def test_fit_dimension_skips_half_the_grid_among_nonzero_counts():
-    # 5 zero counts are dropped first, then the first 16 // 2 of the 11 left
+def test_fit_dimension_skips_half_the_grid_before_zero_counts():
+    # the first 16 // 2 grid points are skipped, and the 5 zero counts among them
+    # do not move the window
     lams = gasket.geometric_grid(1.0, 1e4, 16)
     samples = [(lam, 0 if i < 5 else lam**1.5) for i, lam in enumerate(lams)]
     fit = gasket.fit_dimension(samples)
-    assert fit.n_points == 3
-    assert fit.window == (lams[13], lams[15])
+    assert fit.n_points == 8
+    assert fit.window == (lams[8], lams[15])
     assert abs(fit.slope - 1.5) < 1e-9
 
 
