@@ -130,23 +130,6 @@ class CircleOrbit:
         return "\n".join(lines) + "\n"
 
 
-def _window_pairs(sorted_keys, lo, hi):
-    """Pairs (i, p) with lo[i] <= sorted_keys[p] <= hi[i], i ascending.
-
-    ``sorted_keys`` is ascending and ``p`` a position in it; the caller,
-    ``separation_stats``, maps both back through the sort it holds.  Each
-    window's run of positions is found with ``searchsorted`` and the runs are
-    expanded into pairs with ``np.repeat``.  Queries in ascending order search
-    fastest (numpy starts each binary search from the previous one's result),
-    so the caller passes its windows in the order of that sort.
-    """
-    start = np.searchsorted(sorted_keys, lo, side="left")
-    sizes = np.searchsorted(sorted_keys, hi, side="right") - start
-    i = np.repeat(np.arange(len(lo)), sizes)
-    # position within the run, plus the run's first sorted position
-    return i, np.arange(len(i)) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
-
-
 def _past_mirrors(cfg: GroupConfig, c, r) -> np.ndarray:
     """(4, n) bool: row t is true where circle (c, r) lies strictly past mirror t.
 
@@ -249,7 +232,8 @@ def separation_stats(o: CircleOrbit):
     are filtered by the distance bound before the next band, so no more
     than one band's candidates are ever held.  The band circles lead the
     grid, so the grid's one sort of its keys also puts the band's windows in
-    ascending order.
+    ascending order, the order in which ``searchsorted`` finds them fastest
+    (numpy starts each binary search from the previous one's result).
     """
     n = len(o)
     if n < 2:
@@ -277,8 +261,13 @@ def separation_stats(o: CircleOrbit):
         by_key = np.argsort(key)
         band = by_key[by_key < stop - start]  # the band leads the grid: in key order
         lo = np.concatenate([key[band] + dc * width - 1 for dc in (-1, 0, 1)])
-        a, b = _window_pairs(key[by_key], lo, lo + 2)
-        a, b = np.tile(band, 3)[a], by_key[b]
+        # each window [lo, lo + 2]'s run of sorted keys, expanded into pairs
+        # with the run's sorted positions
+        sorted_keys = key[by_key]
+        first = np.searchsorted(sorted_keys, lo, side="left")
+        sizes = np.searchsorted(sorted_keys, lo + 2, side="right") - first
+        a = np.repeat(np.tile(band, 3), sizes)
+        b = by_key[np.arange(len(a)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)]
         a, b = a[a < b] + start, b[a < b] + start
         d = np.hypot(x[b] - x[a], y[b] - y[a])
         near = d <= reach * r[a]

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import HalfPlanePresent
-from .gasket import GasketComplex, build_complex, index_dtype
+from .gasket import GasketComplex, _cells_above, build_complex, index_dtype
 from .geom import DiskTriple, Point
 
 TWO_PI = 2.0 * math.pi
@@ -339,9 +339,9 @@ def _arc_pieces(cx: GasketComplex, m: int):
         pieces.append((np.full(len(v) - 1, j, dtype=cid.dtype), v[:-1], v[1:], start + off[:-1],
                        np.diff(off)))
 
-    # inscribed circles created strictly above depth m are full circles,
-    # split at their vertices in angle order
-    keep = (cid >= 3) & (cx.births[cid] < m)
+    # inscribed circles created strictly above depth m (ids below
+    # 3 + (3^m - 1)/2) are full circles, split at their vertices in angle order
+    keep = (cid >= 3) & (cid < 3 + _cells_above(m))
     c, v, th = cid[keep], vid[keep], theta[keep]
     order = np.lexsort((v, th, c))
     c, v, th = c[order], v[order], th[order]
@@ -405,7 +405,6 @@ class SectorCheckReport:
     arc_l2: float  # integral of u^2 rad dH^1
     sector_gradient: float  # integral over the sector of |grad I_a u|^2
     sector_l2: dict  # a -> integral over the sector of (I_a u)^2
-    a_w12: float
     mean: float
     w12_ok: bool
     l2_ok: dict
@@ -461,7 +460,6 @@ def sector_extension_check(f: ArcSegmentFunction, a: float) -> SectorCheckReport
         arc_l2=arc_l2,
         sector_gradient=sector_gradient,
         sector_l2=sector_l2,
-        a_w12=a,
         mean=mean,
         w12_ok=w12_ok,
         l2_ok=l2_ok,

@@ -134,13 +134,13 @@ class GasketComplex:
     j, has id 3 + 3(3^j - 1)/2 + 3i + s.  So the first 3 + 3(3^m - 1)/2 ids
     are exactly the depth-m vertex set V_m.
 
-    ``centers`` (nC, 2), ``radii`` and ``births`` (nC,) describe the
-    circles.  Ids 0-2 are the root members (birth -1; a half-plane has
-    radius inf and center nan); the inscribed disk of cell i at depth
-    j < depth has id 3 + (3^j - 1)/2 + i and birth j.
+    ``centers`` (nC, 2) and ``radii`` (nC,) describe the circles.  Ids 0-2
+    are the root members (a half-plane has radius inf and center nan); the
+    inscribed disk of cell i at depth j < depth has id 3 + (3^j - 1)/2 + i.
+    So the circles born above depth m are exactly ids 3 to 3 + (3^m - 1)/2.
 
     The integer arrays are built in ``index_dtype`` of their largest value
-    (nV, nC and the depth), so int32 below 2^31 - 1 vertices.
+    (nV and nC), so int32 below 2^31 - 1 vertices.
 
     Inscribed disks and tangency points are computed ``_DISK_CHUNK`` cells
     at a time, so their temporaries stay bounded at every depth; the
@@ -158,7 +158,6 @@ class GasketComplex:
         n_points = self.num_vertices_at(depth)
         self.centers = np.full((n_circles, 2), np.nan)
         self.radii = np.full(n_circles, np.inf)
-        self.births = np.full(n_circles, -1, dtype=index_dtype(depth))
         self.points = np.empty((n_points, 2))
         self.vertex_pairs = np.empty((n_points, 2), dtype=index_dtype(n_circles))
         self.quads, self.vertex_ids = [], []
@@ -187,7 +186,6 @@ class GasketComplex:
                 if level < self.depth:
                     c = slice(c_in + rows.start, c_in + rows.stop)
                     self.centers[c], self.radii[c] = z, r_in
-                    self.births[c] = level
             if level == self.depth:
                 break
             p_in = 3 + 3 * _cells_above(level)  # vertex id of cell 0's p1
@@ -265,15 +263,16 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     The cells whose inscribed curvature is at most max(grid) form a subtree
     of the cell tree (a child's inscribed disk curves more than its parent's,
     and a pruned cell is never expanded).  That subtree is walked in chunks
-    of at most ``_COUNT_CHUNK`` cells.  Kept cells wait as rows
-    (a, b, c, k, c_in) in one last-in-first-out pool of blocks, whatever
-    their depth.  Each step takes a chunk from the newest blocks and pushes
-    its kept children as one block, so the wide middle of the tree goes
-    depth first in full chunks, and the narrow cusp tails share chunks.  A
-    step computes each child's fourth member and inscribed curvature
-    straight from the parent rows, in the operation order of ``child_quad``
-    and ``inscribed_curvature`` (the same bits), and gathers only the kept
-    children.
+    of at most ``_COUNT_CHUNK`` cells.  Kept cells wait as quadruple rows
+    (a, b, c, k) in one last-in-first-out pool of blocks, whatever their
+    depth.  Each step takes a chunk from the newest blocks and pushes its
+    kept children as one block, so the wide middle of the tree goes depth
+    first in full chunks, and the narrow cusp tails share chunks.  A step
+    recomputes its cells' inscribed curvatures c_in with
+    ``inscribed_curvature``, then each child's fourth member and c_in
+    straight from the parent rows in the operation order of ``child_quad``
+    (so a child's c_in has the same bits in both places), and gathers only
+    the kept children.
 
     Every kept cell is counted once, whatever the traversal.  A cell counts
     against ``cap`` when it is found, and a found cell is already a kept
@@ -286,8 +285,7 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
     top, edges = grid[-1], np.array(grid)
     counts = np.zeros(len(grid), dtype=np.int64)
     root = np.array(t.quad, dtype=float)[:, None]
-    root = np.vstack((root, inscribed_curvature(root)))
-    root = root[:, root[4] <= top]
+    root = root[:, inscribed_curvature(root) <= top]
     total = root.shape[1]
     if total > cap:
         raise BudgetExceeded(f"count exceeded cap {cap}")
@@ -305,7 +303,8 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
             got += X.shape[1]
         held -= n
         X = taken[0] if len(taken) == 1 else np.concatenate(taken, axis=1)
-        a, b, c, k, cin = X
+        a, b, c, k = X
+        cin = inscribed_curvature(X)
         counts += np.searchsorted(np.sort(cin), edges, side="right")  # cells with c_in <= lam
         # child j replaces member j by the inscribed disk (``child_quad``)
         k1, k2, k3 = k + b + c, k + a + c, k + a + b
@@ -321,8 +320,7 @@ def count_profile(t: DiskTriple, grid, cap: int = 10**8):
         lo = 0
         for j, (idx, (kj, cj)) in enumerate(zip(keep, kids)):
             hi = lo + len(idx)
-            Y[j, lo:hi] = Y[4, lo:hi]
-            Y[3, lo:hi], Y[4, lo:hi] = kj[idx], cj[idx]
+            Y[j, lo:hi], Y[3, lo:hi] = cin[idx], kj[idx]
             lo = hi
         pool.append(Y)
         held += Y.shape[1]

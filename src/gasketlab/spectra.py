@@ -866,7 +866,6 @@ class ScalingReport:
     scale: float
     expected_ratio: float
     max_rel_error: float
-    n_compared: int
     ok: bool
 
 
@@ -891,7 +890,7 @@ def scaling_check(t: DiskTriple, s: float, m: int = 4, scheme: str = "trace") ->
     expected = s ** (-2.0)
     denom = np.maximum(np.abs(lam1) * expected, 1e-300)
     err = float(np.max(np.abs(lam2 - lam1 * expected) / denom))
-    return ScalingReport(scale=s, expected_ratio=expected, max_rel_error=err, n_compared=k,
+    return ScalingReport(scale=s, expected_ratio=expected, max_rel_error=err,
                          ok=err <= SCALING_RTOL)
 
 

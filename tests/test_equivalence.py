@@ -43,8 +43,12 @@ def test_complex_matches_per_cell_builder(complexes):
     disks = [c.disk for c in old.circles]
     assert same_bits(cx.centers, [d.center if d.is_disk else (np.nan, np.nan) for d in disks])
     assert same_bits(cx.radii, [d.radius if d.is_disk else np.inf for d in disks])
-    assert np.array_equal(cx.births, [len(c.word) if c.kind == "inscribed" else -1
-                                      for c in old.circles])
+    # the id rule: circle c >= 3 is born at depth j exactly when
+    # 3 + (3^j - 1)/2 <= c < 3 + (3^(j+1) - 1)/2; the members are at -1
+    starts = [3 + gasket._cells_above(j) for j in range(7)]
+    level = np.searchsorted(starts, np.arange(len(cx.radii)), side="right") - 1
+    assert np.array_equal(level, [len(c.word) if c.kind == "inscribed" else -1
+                                  for c in old.circles])
     for j in range(7):
         cells = old.cells(j)
         assert same_bits(cx.quads[j], [c.quad for c in cells])
@@ -60,7 +64,7 @@ def test_disk_chunk_changes_no_bit(complexes, monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(gasket, "_DISK_CHUNK", chunk)
         other = gasket.build_complex(t, 6)
-        for name in ("points", "vertex_pairs", "centers", "radii", "births"):
+        for name in ("points", "vertex_pairs", "centers", "radii"):
             assert getattr(other, name).tobytes() == getattr(cx, name).tobytes()
         for j in range(7):
             assert other.quads[j].tobytes() == cx.quads[j].tobytes()

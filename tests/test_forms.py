@@ -283,7 +283,7 @@ def test_ids_are_32_bit_at_workload_sizes(unit_triple):
     cx = gasket.build_complex(unit_triple, 9)
     tf = forms.assemble_trace_form(unit_triple, 9, cx)
     net = forms.assemble_arc_fem(unit_triple, 8, 4, cx)
-    ids = (cx.vertex_pairs, cx.births, *cx.vertex_ids, tf.edges, net.edges, net.arc_ids)
+    ids = (cx.vertex_pairs, *cx.vertex_ids, tf.edges, net.edges, net.arc_ids)
     assert [a.dtype for a in ids] == [np.int32] * len(ids)
     assert gasket.index_dtype(2**31 - 1) == np.int32
     assert gasket.index_dtype(2**31) == np.int64

@@ -194,8 +194,9 @@ def test_count_profile_rejects_bad_grids(unit_triple, grid):
 
 
 def test_count_profile_memory_is_bounded(unit_triple):
-    # one last-in-first-out pool of chunks: 2.18 MB traced here, against
-    # 2.52 MB for one buffer per depth and 12.8 MB for one level at a time
+    # one last-in-first-out pool of chunks of (a, b, c, k) rows: 1.83 MB
+    # traced here, against 2.18 MB with a stored c_in row, 2.52 MB for one
+    # buffer per depth and 12.8 MB for one level at a time
     c0 = gasket.inscribed_curvature(unit_triple.quad)
     grid = gasket.geometric_grid(c0, 3e4 * c0, 33)
     tracemalloc.start()
@@ -209,10 +210,11 @@ def test_count_profile_memory_is_bounded(unit_triple):
 
 def test_count_profile_cap_memory_is_bounded(unit_triple):
     # a cell counts against the cap when it is found, so the walk stops
-    # once 10^6 cells are found (27.8 MB traced), where one level at a
-    # time first built the whole level that passed the cap (44 MB).  No
-    # child is pruned before the cap here, so the walk holds 2/3 of the
-    # found cells, as every order of expansion that prunes none would
+    # once 10^6 cells are found (22.4 MB traced; 27.8 MB with a stored c_in
+    # row), where one level at a time first built the whole level that
+    # passed the cap (44 MB).  No child is pruned before the cap here, so
+    # the walk holds 2/3 of the found cells, as every order of expansion
+    # that prunes none would
     c0 = gasket.inscribed_curvature(unit_triple.quad)
     grid = gasket.geometric_grid(c0, 1e12 * c0, 33)
     tracemalloc.start()
@@ -370,7 +372,7 @@ def test_build_checks_the_last_chunk_of_the_deepest_level(unit_triple, monkeypat
 
 def test_build_complex_memory_is_bounded(unit_triple):
     # inscribed disks and tangency points are computed a chunk of cells at a
-    # time: the traced peak at m=10 is about 1.5 times the stored arrays,
+    # time: the traced peak at m=10 is about 1.4 times the stored arrays,
     # where one call per level peaked at 4.3 times
     tracemalloc.start()
     try:
@@ -378,8 +380,7 @@ def test_build_complex_memory_is_bounded(unit_triple):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (cx.points, cx.vertex_pairs, cx.centers, cx.radii, cx.births,
-              *cx.quads, *cx.vertex_ids)
+    arrays = (cx.points, cx.vertex_pairs, cx.centers, cx.radii, *cx.quads, *cx.vertex_ids)
     assert peak < 2.5 * sum(a.nbytes for a in arrays)
 
 
