@@ -105,18 +105,21 @@ class TraceForm(Network):
 
 
 def complex_for(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> GasketComplex:
-    """``cx`` if it reaches depth m, else a new complex of ``t`` at depth m;
-    ``ValueError`` if ``cx`` was built for another triple."""
+    """``cx`` if it reaches depth m, else a new complex of ``t`` at depth m.
+
+    The one gate of every form and pencil builder: ``HalfPlanePresent`` if
+    ``t`` has a half-plane, and ``ValueError`` for m < 0 or if ``cx`` was
+    built for another triple."""
+    if not t.is_bounded:
+        raise HalfPlanePresent("energy forms need three bounded disks")
+    if m < 0:
+        raise ValueError("depth must be nonnegative")
     if cx is not None and cx.root != t:
         raise ValueError("the complex was built for another triple")
     return cx if cx is not None and cx.depth >= m else build_complex(t, m)
 
 
 def assemble_trace_form(t: DiskTriple, m: int, cx: GasketComplex | None = None) -> TraceForm:
-    if not t.is_bounded:
-        raise HalfPlanePresent("trace form needs three bounded disks")
-    if m < 0:
-        raise ValueError("depth must be nonnegative")
     cx = complex_for(t, m, cx)
     cond = _conductances(cx.quads[m]).ravel()
     vids = cx.vertex_ids[m]
@@ -165,10 +168,6 @@ def assemble_mass_trace(
     mass-to-stiffness ratios of the continuum, which the cell lumpings
     distort badly high in the spectrum.
     """
-    if not t.is_bounded:
-        raise HalfPlanePresent("trace mass needs three bounded disks")
-    if m < 0:
-        raise ValueError("depth must be nonnegative")
     cx = complex_for(t, m, cx)
     area, lens = _cell_shape(cx.quads[m])
     # the weight each scheme puts on either end of each cell boundary arc
@@ -234,17 +233,14 @@ class ArcNetwork(Network):
     """P1 network on the truncated arc family (outer arcs + inscribed circles).
 
     Edge conductance is rad/len and edge mass rad*len with len the arc
-    length.  ``arc_ids[k]`` is the id of the circle (into the complex's
-    circle arrays) that edge k lies on.  Each arc piece between two V_m
-    points is a chain of ``refine`` consecutive edges, and its ``refine - 1``
-    inner points follow the V_m ids in piece order.  ``edges`` and
-    ``arc_ids`` are in ``gasket.index_dtype`` of the vertex and circle
-    counts.
+    length.  Each arc piece between two V_m points is a chain of ``refine``
+    consecutive edges, and its ``refine - 1`` inner points follow the V_m
+    ids in piece order.  ``edges`` are in ``gasket.index_dtype`` of the
+    vertex count.
     """
 
     refine: int
     n_vm: int  # leading ids are the V_m tangency points
-    arc_ids: np.ndarray
 
     def extend_vertex_map(self, vm_map: np.ndarray) -> np.ndarray:
         """Extend a symmetry of the V_m ids to the points inside the pieces.
@@ -281,9 +277,7 @@ def assemble_arc_fem(
     The pieces are found first (``_arc_pieces``), and only their five
     per-piece arrays outlive that step; ``points`` and ``edges`` are then
     written in place into arrays of their final size."""
-    if not t.is_bounded:
-        raise HalfPlanePresent("arc network needs three bounded disks")
-    if m < 0 or refine < 1:
+    if refine < 1:
         raise ValueError("need depth >= 0 and refine >= 1")
     cx = complex_for(t, m, cx)
     n_vm = cx.num_vertices_at(m)
@@ -314,7 +308,6 @@ def assemble_arc_fem(
         edge_mass=np.repeat(r * length, refine),
         refine=refine,
         n_vm=n_vm,
-        arc_ids=np.repeat(c, refine),
     )
 
 

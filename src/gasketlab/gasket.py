@@ -143,10 +143,11 @@ class GasketComplex:
     (nV and nC), so int32 below 2^31 - 1 vertices.
 
     Inscribed disks and tangency points are computed ``_DISK_CHUNK`` cells
-    at a time, so their temporaries stay bounded at every depth; the
-    deepest level's inscribed disks are only checked.  A cell's member
-    circle ids are formed per chunk from its parent's vertex pairs
-    (``_members``), so no level's member ids are held whole.
+    at a time, so their temporaries stay bounded at every depth; each chunk's
+    inscribed disks are checked before its own tangency points, and the
+    deepest level's are only checked.  A cell's member circle ids are formed
+    once per chunk from its parent's vertex pairs (``_members``), so no
+    level's member ids are held whole.
     """
 
     def __init__(self, root: DiskTriple, depth: int):
@@ -177,28 +178,25 @@ class GasketComplex:
             n = len(quads)
             blocks = [slice(s, min(s + _DISK_CHUNK, n)) for s in range(0, n, _DISK_CHUNK)]
             c_in = 3 + _cells_above(level)  # circle id of cell 0's inscribed disk
-            # every inscribed disk of a level is checked before any of its
-            # tangency points; the deepest ones are checked but not stored
+            p_in = 3 + 3 * _cells_above(level)  # vertex id of cell 0's p1
+            # each chunk's inscribed disks are checked before its own tangency
+            # points; the deepest ones are checked but not stored
             for rows in blocks:
                 cids = self._members(level, rows)
                 z, r_in, _ = inscribed_disks(quads[rows], self.centers[cids],
                                              self.radii[cids], halfplane)
-                if level < self.depth:
-                    c = slice(c_in + rows.start, c_in + rows.stop)
-                    self.centers[c], self.radii[c] = z, r_in
-            if level == self.depth:
-                break
-            p_in = 3 + 3 * _cells_above(level)  # vertex id of cell 0's p1
-            for rows in blocks:
-                cids = self._members(level, rows)
+                if level == self.depth:
+                    continue
                 c = slice(c_in + rows.start, c_in + rows.stop)
                 v = slice(p_in + 3 * rows.start, p_in + 3 * rows.stop)
+                self.centers[c], self.radii[c] = z, r_in
                 self.points[v] = tangency_points(
-                    self.centers[c], self.radii[c], self.centers[cids], self.radii[cids],
-                    halfplane,
+                    z, r_in, self.centers[cids], self.radii[cids], halfplane
                 ).reshape(-1, 2)
                 pairs = self.vertex_pairs[v].reshape(-1, 3, 2)
                 pairs[..., 0], pairs[..., 1] = cids, np.arange(c.start, c.stop)[:, None]
+            if level == self.depth:
+                break
             # child j replaces member j by the inscribed disk (``child_quad``)
             kids = np.empty((n, 3, 4))
             for j, letter in enumerate(LETTERS):

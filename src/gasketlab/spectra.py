@@ -155,42 +155,25 @@ class GeneralizedEVP:
 
 
 def evp_from_trace(t: DiskTriple, m: int, dirichlet="v0", mass_scheme="mu", cx=None):
-    """Trace pencil on V_m, with the triple's mirror and rotation (``_mirror``)."""
+    """Trace pencil on V_m, with the triple's mirror and rotation (``_pencil``)."""
     cx = complex_for(t, m, cx)
-    form = assemble_trace_form(t, m, cx)
-    mass = assemble_mass_trace(t, m, cx, scheme=mass_scheme)
-    K, boundary = form.stiffness(), _resolve_boundary(dirichlet)
-    mirror, rotation = _mirror(t, cx, m, K, mass.values, boundary)
-    return GeneralizedEVP(
-        stiffness=K,
-        mass=mass.values,
-        boundary=boundary,
-        meta={"scheme": "trace", "depth": m, "mass_scheme": mass_scheme},
-        mirror=mirror,
-        rotation=rotation,
-    )
+    return _pencil(t, cx, m, assemble_trace_form(t, m, cx).stiffness(),
+                   assemble_mass_trace(t, m, cx, scheme=mass_scheme).values, dirichlet,
+                   {"scheme": "trace", "depth": m, "mass_scheme": mass_scheme})
 
 
 def evp_from_arc_fem(t: DiskTriple, m: int, refine: int, dirichlet="v0", cx=None):
-    """Arc FEM pencil, with the triple's mirror and rotation (``_mirror``)."""
+    """Arc FEM pencil, with the triple's mirror and rotation (``_pencil``)."""
     cx = complex_for(t, m, cx)
     net = assemble_arc_fem(t, m, refine, cx)
-    K, mass = net.stiffness(), net.mass_vector().values
-    boundary = _resolve_boundary(dirichlet)
-    mirror, rotation = _mirror(t, cx, m, K, mass, boundary, net)
-    return GeneralizedEVP(
-        stiffness=K,
-        mass=mass,
-        boundary=boundary,
-        meta={"scheme": "arcfem", "depth": m, "refine": refine},
-        mirror=mirror,
-        rotation=rotation,
-    )
+    return _pencil(t, cx, m, net.stiffness(), net.mass_vector().values, dirichlet,
+                   {"scheme": "arcfem", "depth": m, "refine": refine}, net)
 
 
-def _mirror(t: DiskTriple, cx, m: int, K, mass, boundary, net=None):
-    """(mirror, rotation) of the triple that map ``boundary`` onto itself and
-    leave the pencil (K, mass) invariant; None for each one that it lacks.
+def _pencil(t: DiskTriple, cx, m: int, K, mass, dirichlet, meta, net=None) -> GeneralizedEVP:
+    """The pencil (K, mass) with the ``dirichlet`` boundary and the triple's
+    mirror and rotation that map it onto itself and leave the pencil
+    invariant; None for each one that it lacks.
 
     Members i and j of exactly equal curvature are swapped by the reflection
     in the line through the third member's centre and the point q where i
@@ -206,32 +189,30 @@ def _mirror(t: DiskTriple, cx, m: int, K, mass, boundary, net=None):
     the disks' positions, which a triple given as disks may hold only to
     within roundoff of the image, so its candidates are checked here.
     """
+    boundary = _resolve_boundary(dirichlet)
     vids = cx.vertex_ids[m]
 
-    def tree_map(sigma):
+    def symmetry(sigma):
+        """sigma's map of the vertex ids by the cell tree, None unless admissible."""
         cells = np.zeros(1, dtype=int)  # the image of each depth-m cell
         for _ in range(m):
             cells = (3 * cells[:, None] + sigma).ravel()
         vmap = np.empty(cx.num_vertices_at(m), dtype=int)
         vmap[vids] = vids[cells][:, sigma]
-        return vmap if net is None else net.extend_vertex_map(vmap)
+        vmap = vmap if net is None else net.extend_vertex_map(vmap)
+        ok = _keeps(vmap, boundary) and (net is None or _is_symmetry(vmap, K, mass))
+        return vmap if ok else None
 
-    def admissible(vmap):
-        return _keeps(vmap, boundary) and (net is None or _is_symmetry(vmap, K, mass))
-
+    mirror = rotation = None
     for i, j in ((1, 2), (0, 2), (0, 1)):
-        if t.quad[i] != t.quad[j]:
-            continue
         sigma = np.arange(3)
         sigma[[i, j]] = j, i
-        mirror = tree_map(sigma)
-        if not admissible(mirror):
-            continue
-        if t.quad[0] == t.quad[1] == t.quad[2]:
-            rotation = tree_map(np.array([1, 2, 0]))
-            return mirror, rotation if admissible(rotation) else None
-        return mirror, None
-    return None, None
+        if t.quad[i] == t.quad[j] and (mirror := symmetry(sigma)) is not None:
+            if t.quad[0] == t.quad[1] == t.quad[2]:
+                rotation = symmetry(np.array([1, 2, 0]))
+            break
+    return GeneralizedEVP(stiffness=K, mass=mass, boundary=boundary, meta=meta,
+                          mirror=mirror, rotation=rotation)
 
 
 def _max_abs(x) -> float:
@@ -451,8 +432,8 @@ def solve(
     tiny = 1e-12 * lam_scale
     if len(lams) and lams[0] < -tiny:
         raise NotConverged(f"negative eigenvalue {lams[0]:.3e} beyond roundoff", partial=lams)
-    lams = np.where(np.abs(lams) <= tiny, 0.0, np.clip(lams, 0.0, None))
-    spec = Spectrum(eigenvalues=np.sort(lams), meta=meta)
+    lams = np.where(np.abs(lams) <= tiny, 0.0, lams)
+    spec = Spectrum(eigenvalues=lams, meta=meta)
     meta["trust_ceiling"] = trust_ceiling(spec) if len(spec) else None
     return spec
 
@@ -845,19 +826,19 @@ def interlacing_check(evp: GeneralizedEVP, V) -> InterlacingReport:
     # constraining V may split the graph; min-max interlacing still applies
     lam_free = solve(base, allow_disconnected=True).eigenvalues
     lam_v = solve(cons, allow_disconnected=True).eigenvalues
-    nv = len(v_sorted)
     n = len(lam_v)
-    scale = max(lam_free[-1], 1e-300)
-    worst_lo = worst_hi = 0.0
-    for i in range(n):
-        worst_lo = max(worst_lo, lam_free[i] - lam_v[i])
-        worst_hi = max(worst_hi, lam_v[i] - lam_free[i + nv])
-        if lam_free[i] - lam_v[i] > INTERLACING_RTOL * max(lam_v[i], scale * 1e-6):
-            raise InterlacingViolation(f"lower interlacing fails at n={i + 1}", i + 1)
-        if lam_v[i] - lam_free[i + nv] > INTERLACING_RTOL * max(lam_free[i + nv], scale * 1e-6):
-            raise InterlacingViolation(f"upper interlacing fails at n={i + 1}", i + 1)
+    above = lam_free[len(v_sorted):len(v_sorted) + n]  # lambda_{n+#V}
+    floor = max(lam_free[-1], 1e-300) * 1e-6
+    lo, hi = lam_free[:n] - lam_v, lam_v - above
+    bad_lo = lo > INTERLACING_RTOL * np.maximum(lam_v, floor)
+    bad = bad_lo | (hi > INTERLACING_RTOL * np.maximum(above, floor))
+    if bad.any():  # the first offender; lower before upper at the same n
+        i = int(np.argmax(bad))
+        side = "lower" if bad_lo[i] else "upper"
+        raise InterlacingViolation(f"{side} interlacing fails at n={i + 1}", i + 1)
     return InterlacingReport(
-        n_checked=n, max_low_violation=worst_lo, max_high_violation=worst_hi, ok=True
+        n_checked=n, max_low_violation=float(np.max(lo, initial=0.0)),
+        max_high_violation=float(np.max(hi, initial=0.0)), ok=True
     )
 
 

@@ -96,18 +96,20 @@ def test_arc_network_matches_dict_assembly(name, refine):
         assert np.array_equal(net.edges, edges)
         assert same_bits(net.conductance, conductance)
         assert same_bits(net.edge_mass, mass)
-        assert np.array_equal(net.arc_ids, arc_ids)
+        assert np.array_equal(np.repeat(forms._arc_pieces(cx, m)[0], refine), arc_ids)
 
 
 def test_angle_chunk_changes_no_bit(monkeypatch):
     t = TRIPLES["1,2,3"]
     cx = gasket.build_complex(t, 5)
     ref = forms.assemble_arc_fem(t, 5, 2, cx)
+    ref_ids = forms._arc_pieces(cx, 5)[0]
     for chunk in (1, 7):
         monkeypatch.setattr(forms, "_ANGLE_CHUNK", chunk)
         net = forms.assemble_arc_fem(t, 5, 2, cx)
-        for name in ("points", "edges", "conductance", "edge_mass", "arc_ids"):
+        for name in ("points", "edges", "conductance", "edge_mass"):
             assert getattr(net, name).tobytes() == getattr(ref, name).tobytes()
+        assert forms._arc_pieces(cx, 5)[0].tobytes() == ref_ids.tobytes()
 
 
 @pytest.mark.parametrize("curvatures", [(1, 1, 1), (1, 2, 3), (0.4, 2.7, 5)],

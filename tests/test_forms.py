@@ -39,13 +39,20 @@ def test_cell_conductances_scale_free(rng):
         assert abs(c1 - c2) < 1e-12 * c1
 
 
-def test_assemblers_reject_halfplane():
+def test_assemblers_reject_halfplane(unit_triple):
+    # complex_for refuses a half-plane whether or not a complex is supplied
     th = geom.triple_with_halfplane(1.0, 1.0)
-    for assemble in (forms.assemble_trace_form, forms.assemble_mass_trace):
-        with pytest.raises(HalfPlanePresent):
-            assemble(th, 1)
-    with pytest.raises(HalfPlanePresent):
-        forms.assemble_arc_fem(th, 1, 2)
+    for cx in (None, gasket.build_complex(th, 2)):
+        for call in (lambda: forms.assemble_trace_form(th, 1, cx),
+                     lambda: forms.assemble_mass_trace(th, 1, cx),
+                     lambda: forms.assemble_arc_fem(th, 1, 2, cx),
+                     lambda: spectra.evp_from_trace(th, 1, cx=cx),
+                     lambda: spectra.evp_from_arc_fem(th, 1, 2, cx=cx)):
+            with pytest.raises(HalfPlanePresent):
+                call()
+    # the one refusal left to an assembler
+    with pytest.raises(ValueError, match="refine >= 1"):
+        forms.assemble_arc_fem(unit_triple, 1, 0)
 
 
 @pytest.mark.parametrize("call", [
@@ -196,8 +203,9 @@ def test_trace_pencil_needs_no_arc_network(unit_triple, monkeypatch):
     assert np.all(evp.mass > 0.0)
 
 
-def _arc_radii(net, cx):
-    return cx.radii[net.arc_ids]
+def _arc_ids(net, cx, m):
+    """The circle id of each edge of the depth-m arc network ``net``."""
+    return np.repeat(forms._arc_pieces(cx, m)[0], net.refine)
 
 
 def test_arc_fem_m1_counts(unit_triple):
@@ -206,7 +214,7 @@ def test_arc_fem_m1_counts(unit_triple):
     assert net.n_vertices == 6
     assert len(net.edges) == 9
     # every edge weight pair satisfies stiffness * mass = rad^2
-    r = _arc_radii(net, cx)
+    r = cx.radii[_arc_ids(net, cx, 1)]
     assert np.all(np.abs(net.conductance * net.edge_mass - r * r) < 1e-14)
 
 
@@ -229,7 +237,7 @@ def test_arc_fem_coordinate_energy(unit_triple):
         pts = np.asarray(net.points)
         e = net.energy(pts[:, 0]) + net.energy(pts[:, 1])
         direct = 0.0
-        for (i, j), r, mass in zip(net.edges, _arc_radii(net, cx), net.edge_mass):
+        for (i, j), r, mass in zip(net.edges, cx.radii[_arc_ids(net, cx, 2)], net.edge_mass):
             chord2 = (pts[i, 0] - pts[j, 0]) ** 2 + (pts[i, 1] - pts[j, 1]) ** 2
             direct += r * chord2 / (mass / r)
         assert abs(e - direct) < 1e-12 * e
@@ -250,8 +258,9 @@ def test_arc_fem_piece_count_formula(unit_triple):
 def test_arc_fem_edges_lie_on_their_arcs(unit_triple):
     cx = gasket.build_complex(unit_triple, 3)
     net = forms.assemble_arc_fem(unit_triple, 3, 3, cx)
-    assert len(net.arc_ids) == len(net.edges)
-    for (i, j), c, mass, cid in zip(net.edges, net.conductance, net.edge_mass, net.arc_ids):
+    arc_ids = _arc_ids(net, cx, 3)
+    assert len(arc_ids) == len(net.edges)
+    for (i, j), c, mass, cid in zip(net.edges, net.conductance, net.edge_mass, arc_ids):
         (cx0, cy0), radius = cx.centers[cid], cx.radii[cid]
         # conductance rad/len times mass rad*len is the radius squared
         assert abs(c * mass - radius**2) < 1e-14 * radius**2
@@ -263,8 +272,8 @@ def test_arc_fem_edges_lie_on_their_arcs(unit_triple):
 
 def test_arc_fem_memory_is_bounded(unit_triple):
     # only the per-piece arrays outlive the piece search, and points and
-    # edges are written in place: the traced peak is about 1.3 times the
-    # network's arrays, where keeping every intermediate took 2.6 times
+    # edges are written in place: the traced peak is about 1.4 times the
+    # network's arrays, and keeping every intermediate took twice as much
     cx = gasket.build_complex(unit_triple, 8)
     tracemalloc.start()
     try:
@@ -272,7 +281,7 @@ def test_arc_fem_memory_is_bounded(unit_triple):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = (net.points, net.edges, net.conductance, net.edge_mass, net.arc_ids)
+    arrays = (net.points, net.edges, net.conductance, net.edge_mass)
     assert peak < 1.8 * sum(a.nbytes for a in arrays)
 
 
@@ -283,7 +292,7 @@ def test_ids_are_32_bit_at_workload_sizes(unit_triple):
     cx = gasket.build_complex(unit_triple, 9)
     tf = forms.assemble_trace_form(unit_triple, 9, cx)
     net = forms.assemble_arc_fem(unit_triple, 8, 4, cx)
-    ids = (cx.vertex_pairs, *cx.vertex_ids, tf.edges, net.edges, net.arc_ids)
+    ids = (cx.vertex_pairs, *cx.vertex_ids, tf.edges, net.edges)
     assert [a.dtype for a in ids] == [np.int32] * len(ids)
     assert gasket.index_dtype(2**31 - 1) == np.int32
     assert gasket.index_dtype(2**31) == np.int64

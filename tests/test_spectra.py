@@ -1077,6 +1077,7 @@ def test_interlacing_violation_detected():
         ([0.0, 1.0, 2.0, 3.0], [0.5, 0.9, 2.5], 2, "lower"),  # lam_2 > lam_2^V
         ([0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 3.5], 3, "upper"),  # lam_3^V > lam_4
         ([0.0, 2.0, 1.0, 3.0], [0.5, 1.5, 2.5], 2, "lower"),  # both fail at n=2
+        ([0.0, 1.0, 2.0, 3.0], [1.5, 0.9, 2.5], 1, "upper"),  # upper at n=1, lower at n=2
     ],
 )
 def test_interlacing_check_raises_violation(monkeypatch, lam_free, lam_v, index, side):
