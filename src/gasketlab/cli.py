@@ -14,10 +14,6 @@ import os
 import sys
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="gasketlab")
     p.add_argument("--threads", type=int, default=0, help="cap BLAS worker threads")
@@ -106,12 +102,8 @@ def _parse_triple(spec: str):
 
     if spec == "unit":
         return geom.triple_from_curvatures(1.0, 1.0, 1.0)
-    if spec.startswith("[") or spec.startswith("@"):
-        raw = spec
-        if spec.startswith("@"):
-            with open(spec[1:], encoding="utf-8") as fh:
-                raw = fh.read()
-        disks = [geom.disk_from_json(obj) for obj in json.loads(raw)]
+    if spec.startswith("["):
+        disks = [geom.disk_from_json(obj) for obj in json.loads(spec)]
         if len(disks) != 3:
             raise ValueError("triple JSON must list exactly three disks")
         return geom.validate_triple(*disks)
@@ -137,17 +129,15 @@ def _cmd_gasket(args) -> int:
     from . import gasket
 
     t = _parse_triple(args.triple)
-    if args.subcommand == "count":
+    if args.subcommand in ("count", "dim"):
         c0 = gasket.inscribed_curvature(t.quad)
-        grid = gasket.geometric_grid(c0, args.lambda_max * c0, args.grid)
-        rows = gasket.count_profile(t, grid)
-        lines = ["lambda,count"] + [f"{_fmt(lam)},{n}" for lam, n in rows]
+        rows = gasket.count_profile(t, gasket.geometric_grid(c0, args.lambda_max * c0, args.grid))
+    if args.subcommand == "count":
+        lines = ["lambda,count"] + [f"{lam:.17g},{n}" for lam, n in rows]
         _emit(args, "\n".join(lines) + "\n")
         return 0
     if args.subcommand == "dim":
-        c0 = gasket.inscribed_curvature(t.quad)
-        grid = gasket.geometric_grid(c0, args.lambda_max * c0, args.grid)
-        fit = gasket.fit_dimension(gasket.count_profile(t, grid))
+        fit = gasket.fit_dimension(rows)
         _emit_json(
             args,
             {
@@ -221,8 +211,9 @@ def _cmd_carpet(args) -> int:
     from .svg import circles_svg
 
     cfg = carpet.solve_params(args.q)
-    if args.subcommand == "gen":
+    if args.subcommand in ("gen", "dim", "separation"):
         orbit = carpet.enumerate_circles(cfg, args.min_radius)
+    if args.subcommand == "gen":
         _emit(args, orbit.to_csv())
         if args.out_svg:
             circles = [(0.0, 0.0, 1.0)] + list(zip(
@@ -231,12 +222,10 @@ def _cmd_carpet(args) -> int:
                 fh.write(circles_svg(circles))
         return 0
     if args.subcommand == "dim":
-        orbit = carpet.enumerate_circles(cfg, args.min_radius)
         fit = carpet.fit_carpet_dimension(orbit)
         _emit_json(args, {"q": args.q, "dimension": fit.slope, "window": list(fit.window)})
         return 0
     if args.subcommand == "separation":
-        orbit = carpet.enumerate_circles(cfg, args.min_radius)
         eps, pairs = carpet.separation_stats(orbit)
         _emit_json(args, {"q": args.q, "epsilon_observed": eps, "pairs_examined": pairs})
         return 0

@@ -278,7 +278,7 @@ def assemble_arc_fem(
     per-piece arrays outlive that step; ``points`` and ``edges`` are then
     written in place into arrays of their final size."""
     if refine < 1:
-        raise ValueError("need depth >= 0 and refine >= 1")
+        raise ValueError("need refine >= 1")
     cx = complex_for(t, m, cx)
     n_vm = cx.num_vertices_at(m)
     c, v_a, v_b, th_a, sweep = _arc_pieces(cx, m)

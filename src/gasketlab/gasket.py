@@ -15,13 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, InsufficientRange
-from .geom import (
-    DiskTriple,
-    inscribed_disk,
-    inscribed_disks,
-    tangency_points,
-    validate_triple,
-)
+# perfbench/tracing.py patches gasket.inscribed_disk; ROADMAP item 1 drops the name
+from .geom import DiskTriple, inscribed_disk, inscribed_disks, tangency_points
 
 LETTERS = "123"
 
@@ -72,20 +67,6 @@ def child_quad(quad, letter: str):
 def inscribed_curvature(quad) -> float:
     a, b, c, k = quad
     return a + b + c + 2.0 * k
-
-
-def phi(t: DiskTriple, letter: str) -> DiskTriple:
-    """Replace member ``letter`` of the triple by its inscribed disk."""
-    d_in = inscribed_disk(t)
-    members = list(t.disks)
-    members[int(check_word(letter)) - 1] = d_in
-    return validate_triple(*members)
-
-
-def apply_word(t: DiskTriple, w: str) -> DiskTriple:
-    for ch in check_word(w):
-        t = phi(t, ch)
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -93,14 +93,9 @@ def halfplane(normal: Point, offset: float) -> GeneralizedDisk:
     )
 
 
-def disk_to_json(d: GeneralizedDisk) -> dict:
-    if d.is_disk:
-        return {"type": "disk", "center": [d.center[0], d.center[1]], "radius": d.radius}
-    return {"type": "halfplane", "normal": [d.normal[0], d.normal[1]], "offset": d.offset}
-
-
 def disk_from_json(obj: dict) -> GeneralizedDisk:
-    """Inverse of ``disk_to_json``; ``ValueError`` names a malformed entry."""
+    """One ``--triple`` member, in the form in which ``gasket cells`` writes each
+    inscribed disk; ``ValueError`` names a malformed entry."""
     kind = obj.get("type") if isinstance(obj, dict) else None
     keys = {"disk": ("center", "radius"), "halfplane": ("normal", "offset")}.get(kind)
     if keys is None:

@@ -857,15 +857,13 @@ def scaling_check(t: DiskTriple, s: float, m: int = 4, scheme: str = "trace") ->
     ``t`` and of ``t`` dilated by s (arc FEM at refine ``SCALING_REFINE``);
     ``ok`` when the worst relative error is at most ``SCALING_RTOL``.
     """
-    t2 = transform_triple(t, scale=s)
-    if scheme == "trace":
-        e1 = evp_from_trace(t, m)
-        e2 = evp_from_trace(t2, m)
-    else:
-        e1 = evp_from_arc_fem(t, m, SCALING_REFINE)
-        e2 = evp_from_arc_fem(t2, m, SCALING_REFINE)
-    lam1 = solve(e1).eigenvalues
-    lam2 = solve(e2).eigenvalues
+    if scheme not in ("trace", "arcfem"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    lam1, lam2 = (
+        solve(evp_from_trace(u, m) if scheme == "trace"
+              else evp_from_arc_fem(u, m, SCALING_REFINE)).eigenvalues
+        for u in (t, transform_triple(t, scale=s))
+    )
     k = min(SCALING_EIGS, len(lam1), len(lam2))
     lam1, lam2 = lam1[:k], lam2[:k]
     expected = s ** (-2.0)

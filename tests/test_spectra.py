@@ -1103,6 +1103,8 @@ def test_scaling_check(unit_triple):
         assert rep.ok, rep
         rep = spectra.scaling_check(unit_triple, 10.0, m=3, scheme=scheme)
         assert rep.ok, rep
+    with pytest.raises(ValueError, match="unknown scheme 'tracee'"):
+        spectra.scaling_check(unit_triple, 2.0, m=2, scheme="tracee")
 
 
 def test_n_lambda_closed_form(unit_triple):
